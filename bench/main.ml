@@ -530,9 +530,15 @@ let incast_section () =
 
 (* Read/write latency percentiles and quorum-round traffic of lib/store
    under its deterministic workload harness, for n in {3, 5} replicas:
-   healthy medium, 2% frame loss, and one replica down for the whole
-   run. Packet counts isolate the workload by subtracting an ops=0
-   baseline run of the identical topology and schedule. *)
+   healthy medium, 2% frame loss, one replica down for the whole run,
+   and replica 0 crashed mid-run. Packet counts isolate the workload by
+   subtracting an ops=0 baseline run of the identical topology and
+   schedule.
+
+   Regression gate (CI runs this section on every push): with a
+   minority crashed, whether from the start or mid-run, read and write
+   p99 must stay within 2x of the healthy row's at every n. A quorum
+   round that idles behind a dead replica's crash verdict costs ~50x. *)
 let store_section () =
   hr "STORE. Quorum-replicated KV store (lib/store): latency and quorum traffic";
   let module Harness = Soda_store.Harness in
@@ -543,6 +549,7 @@ let store_section () =
   let module FP = Soda_fault.Fault_plan in
   let frames net = Stats.counter (Soda_net.Bus.stats (Network.bus net)) "bus.frames_sent" in
   let clients = 2 and ops = 30 in
+  let failures = ref [] in
   List.iter
     (fun n ->
       Printf.printf
@@ -550,41 +557,65 @@ let store_section () =
         ((n / 2) + 1) clients ops;
       Printf.printf "    %-18s %6s  %-17s %-17s %8s %9s %8s\n" "configuration" "ok"
         "read p50/p95/p99" "write p50/p95/p99" "pkts/op" "rounds/op" "retries";
+      let p99s =
+        List.map
+          (fun (label, loss, plan) ->
+            let run ops =
+              Harness.run ~n ~clients ~ops ~keys:4 ~seed:77 ~loss ~think_us:30_000 ?plan ()
+            in
+            let base = run 0 in
+            let r = run ops in
+            let m = Recorder.metrics (Network.recorder r.Harness.net) in
+            let total = List.length r.Harness.history in
+            let ok =
+              List.length
+                (List.filter (fun (o : Harness.op) -> o.outcome <> `No_quorum)
+                   r.Harness.history)
+            in
+            let ms h p = float_of_int (Metrics.Histogram.percentile h p) /. 1000.0 in
+            let pct name =
+              match Metrics.histogram m name with
+              | Some h -> Printf.sprintf "%.1f/%.1f/%.1f" (ms h 50.0) (ms h 95.0) (ms h 99.0)
+              | None -> "-"
+            in
+            let p99 name =
+              match Metrics.histogram m name with Some h -> ms h 99.0 | None -> infinity
+            in
+            let per_op c = float_of_int c /. float_of_int (max total 1) in
+            Printf.printf "    %-18s %3d/%2d  %-17s %-17s %8.1f %9.2f %8d\n" label ok total
+              (pct "store.read.us") (pct "store.write.us")
+              (per_op (frames r.Harness.net - frames base.Harness.net))
+              (per_op (Metrics.counter m "store.rounds"))
+              (Metrics.counter m "store.retries");
+            (label, (p99 "store.read.us", p99 "store.write.us")))
+          [
+            ("healthy", 0.0, None);
+            ("2% loss", 0.02, None);
+            ("one replica down", 0.0, Some [ { FP.at_us = 0; action = FP.Crash (n - 1) } ]);
+            ("crash mid-run", 0.0, Some [ { FP.at_us = 300_000; action = FP.Crash 0 } ]);
+          ]
+      in
+      let healthy_read, healthy_write = List.assoc "healthy" p99s in
       List.iter
-        (fun (label, loss, plan) ->
-          let run ops =
-            Harness.run ~n ~clients ~ops ~keys:4 ~seed:77 ~loss ~think_us:30_000 ?plan ()
-          in
-          let base = run 0 in
-          let r = run ops in
-          let m = Recorder.metrics (Network.recorder r.Harness.net) in
-          let total = List.length r.Harness.history in
-          let ok =
-            List.length
-              (List.filter (fun (o : Harness.op) -> o.outcome <> `No_quorum)
-                 r.Harness.history)
-          in
-          let pct name =
-            match Metrics.histogram m name with
-            | Some h ->
-              Printf.sprintf "%.1f/%.1f/%.1f"
-                (float_of_int (Metrics.Histogram.percentile h 50.0) /. 1000.0)
-                (float_of_int (Metrics.Histogram.percentile h 95.0) /. 1000.0)
-                (float_of_int (Metrics.Histogram.percentile h 99.0) /. 1000.0)
-            | None -> "-"
-          in
-          let per_op c = float_of_int c /. float_of_int (max total 1) in
-          Printf.printf "    %-18s %3d/%2d  %-17s %-17s %8.1f %9.2f %8d\n" label ok total
-            (pct "store.read.us") (pct "store.write.us")
-            (per_op (frames r.Harness.net - frames base.Harness.net))
-            (per_op (Metrics.counter m "store.rounds"))
-            (Metrics.counter m "store.retries"))
-        [
-          ("healthy", 0.0, None);
-          ("2% loss", 0.02, None);
-          ("one replica down", 0.0, Some [ { FP.at_us = 0; action = FP.Crash (n - 1) } ]);
-        ])
-    [ 3; 5 ]
+        (fun label ->
+          let read, write = List.assoc label p99s in
+          List.iter
+            (fun (op, p99, healthy) ->
+              if p99 > 2.0 *. healthy then
+                failures :=
+                  Printf.sprintf "n=%d %s: %s p99 %.1f ms > 2x healthy %.1f ms" n label op p99
+                    healthy
+                  :: !failures)
+            [ ("read", read, healthy_read); ("write", write, healthy_write) ])
+        [ "one replica down"; "crash mid-run" ])
+    [ 3; 5 ];
+  if !failures <> [] then begin
+    List.iter (Printf.printf "    GATE FAILED: %s\n") (List.rev !failures);
+    exit 1
+  end;
+  Printf.printf
+    "    gates OK: read and write p99 <= 2x healthy with a replica down or crashed mid-run, \
+     n=3 and n=5\n"
 
 (* ---- SCD: set-constrained delivery broadcast --------------------------------------- *)
 

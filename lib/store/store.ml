@@ -163,6 +163,10 @@ type t = {
   backoff_base_us : int;
   backoff_cap_us : int;
   rng : Rng.t;
+  (* [answered.(i)]: replica [i] answered the last request sent to it
+     with [Comp_ok]. Cleared on launch, set on an OK completion; a round
+     asks the replicas without it last (see [round]). *)
+  answered : bool array;
 }
 
 type error = No_quorum
@@ -211,6 +215,7 @@ let make_handle env ~cluster ~replicas ~resolve ~max_value ~attempts ~backoff_ba
     backoff_base_us;
     backoff_cap_us;
     rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env)));
+    answered = Array.make n true;
   }
 
 let handle ?(max_value = 512) ?(attempts = 10) ?(backoff_base_us = 20_000)
@@ -255,37 +260,76 @@ let connect ?(max_value = 512) ?(attempts = 10) ?(backoff_base_us = 20_000)
          ~backoff_base_us ~backoff_cap_us)
 
 (* Issue a non-blocking REQUEST, idling while the kernel is at its
-   MAXREQUESTS limit (a slot frees on any completion interrupt). *)
-let rec submit env f =
-  match f () with
-  | tid -> tid
-  | exception Sodal.Too_many_requests ->
-    Sodal.idle env;
-    submit env f
+   MAXREQUESTS limit (a slot frees on any completion interrupt). The
+   virtual time idled, if any, is observed as [store.slot_wait.us]. *)
+let submit env f =
+  let rec go idled =
+    match f () with
+    | tid ->
+      Option.iter (Metrics.observe (metrics env) "store.slot_wait.us") idled;
+      tid
+    | exception Sodal.Too_many_requests ->
+      let t0 = Sodal.now env in
+      Sodal.idle env;
+      go (Some (Option.value idled ~default:0 + Sodal.now env - t0))
+  in
+  go None
 
-(* One quorum round: launch [launch i] at every replica, collect decoded
-   acks as completions arrive, return as soon as a majority has answered
-   (or everyone has answered without reaching one). Laggards — typically
-   requests still retransmitting into a crashed or partitioned replica —
-   keep their callbacks and resolve harmlessly later: that is the RPC
-   facility's skip-after-verdict failover discipline, not a timeout. *)
+(* One quorum round: collect decoded acks as completions arrive and
+   return as soon as a quorum has answered (or every replica has
+   answered without reaching one).
+
+   Replicas that answered their last request OK are asked first, all of
+   them, in index order. The others (a crashed replica, or one still
+   stuck on an earlier round's request) are asked last, in index order,
+   and only while the acks plus the requests still in flight fall short
+   of the quorum. So once a dead replica has one request outstanding,
+   later rounds give it no MAXREQUESTS slot the quorum does not need and
+   do not idle behind its crash verdict; it is still asked whenever the
+   quorum needs it. Requests the round no longer waits for keep their
+   callbacks and resolve harmlessly later. *)
 let round env h ~launch ~decode =
   let acks = ref [] in
+  let n_acks = ref 0 in
   let failed = ref 0 in
+  let launched = ref 0 in
   let unadvertised = ref [] in
-  for i = 0 to h.n - 1 do
+  let ask i =
+    h.answered.(i) <- false;
     let tid = submit env (fun () -> launch i) in
+    incr launched;
     Sodal.on_completion_of env tid (fun c ->
+        if c.Sodal.status = Sodal.Comp_ok then h.answered.(i) <- true;
         match decode i c with
-        | Some v -> acks := (i, v) :: !acks
+        | Some v ->
+          acks := (i, v) :: !acks;
+          incr n_acks
         | None ->
           if c.Sodal.status = Sodal.Comp_unadvertised then
             unadvertised := i :: !unadvertised;
           incr failed)
+  in
+  (* each flag is read when the pass reaches its index: a reply to an
+     earlier request that lands during the earlier launches counts *)
+  let last = ref [] in
+  for i = 0 to h.n - 1 do
+    if h.answered.(i) then ask i else last := i :: !last
   done;
-  while List.length !acks < h.q && List.length !acks + !failed < h.n do
-    Sodal.idle env
-  done;
+  let last = List.rev !last in
+  Metrics.add (metrics env) "store.deferred" (List.length last);
+  (* acks plus requests in flight is [launched - failed] *)
+  let rec wait last =
+    if !n_acks < h.q then
+      match last with
+      | i :: rest when !launched - !failed < h.q ->
+        ask i;
+        wait rest
+      | _ when !launched - !n_acks - !failed > 0 ->
+        Sodal.idle env;
+        wait last
+      | _ -> ()
+  in
+  wait last;
   (List.rev !acks, !unadvertised)
 
 (* Retry wrapper: capped exponential backoff with jitter from the

@@ -17,12 +17,16 @@
     tag-value back to a majority before returning (skipped when the
     query round itself proved the tag is already on a majority).
     [write] queries a majority for the maximum tag, then propagates
-    [(max.seq + 1, my mid)] with the new value to a majority. Crashed or
-    partitioned replicas are skipped on the Delta-t crash verdict
-    (bounded retransmissions), exactly like the RPC facility's failover:
-    a round completes as soon as any majority answers. Rounds that fail
-    to assemble a majority are retried with capped exponential backoff
-    and then surface {!No_quorum}.
+    [(max.seq + 1, my mid)] with the new value to a majority. A round
+    completes as soon as any majority answers. It asks the replicas that
+    answered their last request OK first, and the others (crashed,
+    partitioned, or still stuck on an earlier request) last, only while
+    the acks plus the requests in flight fall short of a majority. So
+    once a dead replica has one request outstanding, later rounds give
+    it no MAXREQUESTS slot the quorum does not need and do not wait for
+    its Delta-t crash verdict unless they need it. Rounds that fail to
+    assemble a majority are retried with capped exponential backoff and
+    then surface {!No_quorum}.
 
     Tolerates [f < n/2] replica crashes. Rebooted replicas must come
     back with their table intact (stable storage) — re-attach the same
