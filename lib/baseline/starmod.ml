@@ -2,6 +2,8 @@ module Engine = Soda_sim.Engine
 module Stats = Soda_sim.Stats
 module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
+module Pool = Soda_net.Pool
+module Crc16 = Soda_net.Crc16
 
 type cost = {
   trap_us : int;
@@ -29,9 +31,11 @@ let kind_of_int = function 0 -> Some Msg | 1 -> Some Ack | 2 -> Some Reply | _ -
 
 type packet = { kind : kind; seq : int; call_id : int; port : int; payload : bytes }
 
-let encode p =
-  let len = Bytes.length p.payload in
-  let b = Bytes.create (9 + len) in
+(* Encode [p] into an exactly-sized buffer from the bus's frame pool and
+   seal its CRC trailer; ownership passes to the bus on send. *)
+let encode_frame bus p =
+  let len = 9 + Bytes.length p.payload in
+  let b = Pool.acquire (Bus.pool bus) (len + 2) in
   Bytes.set b 0 (Char.chr (kind_to_int p.kind));
   Bytes.set b 1 (Char.chr (p.seq land 0xFF));
   Bytes.set b 2 (Char.chr ((p.call_id lsr 24) land 0xFF));
@@ -41,11 +45,14 @@ let encode p =
   Bytes.set b 6 (Char.chr ((p.port lsr 8) land 0xFF));
   Bytes.set b 7 (Char.chr (p.port land 0xFF));
   Bytes.set b 8 '\000';
-  Bytes.blit p.payload 0 b 9 len;
+  Bytes.blit p.payload 0 b 9 (len - 9);
+  Crc16.seal b ~len;
   b
 
-let decode b =
-  if Bytes.length b < 9 then None
+(* Decode the packet in [b.[0 .. len-1]], copying the payload out: the
+   frame buffer is recycled once the receive callback returns. *)
+let decode b ~len =
+  if len < 9 then None
   else
     match kind_of_int (Char.code (Bytes.get b 0)) with
     | None -> None
@@ -57,7 +64,7 @@ let decode b =
           seq = u8 1;
           call_id = (u8 2 lsl 24) lor (u8 3 lsl 16) lor (u8 4 lsl 8) lor u8 5;
           port = (u8 6 lsl 8) lor u8 7;
-          payload = Bytes.sub b 9 (Bytes.length b - 9);
+          payload = Bytes.sub b 9 (len - 9);
         }
 
 (* ---- node --------------------------------------------------------------- *)
@@ -114,7 +121,7 @@ and transmit node dst ob =
   (* kernel protocol work, then the wire *)
   ignore
     (Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
-         Nic.send nic ~dst (encode packet)));
+         Nic.send_wire nic ~dst (encode_frame node.bus packet)));
   let timer =
     Engine.schedule node.engine ~delay:retransmit_us (fun () ->
         Stats.incr node.stats "starmod.pkt.retransmitted";
@@ -136,8 +143,9 @@ let send_ack node ~dst ~seq =
   let nic = Option.get node.nic in
   ignore
     (Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
-         Nic.send nic ~dst
-           (encode { kind = Ack; seq; call_id = 0; port = 0; payload = Bytes.empty })))
+         Nic.send_wire nic ~dst
+           (encode_frame node.bus
+              { kind = Ack; seq; call_id = 0; port = 0; payload = Bytes.empty })))
 
 let deliver node ~src packet =
   (* kernel buffering + port demultiplex + wake the owning process *)
@@ -164,8 +172,8 @@ let deliver node ~src packet =
             | None -> ())
          | Ack -> ()))
 
-let on_rx node ~src payload =
-  match decode payload with
+let on_rx node ~src wire ~len =
+  match decode wire ~len with
   | None -> Stats.incr node.stats "starmod.pkt.bad"
   | Some packet ->
     Stats.incr node.stats "starmod.pkt.recv";
@@ -205,7 +213,10 @@ let create_node ~engine ~bus ~mid ?(cost = default_cost) () =
       next_call = 0;
     }
   in
-  node.nic <- Some (Nic.attach bus ~mid ~rx:(fun ~src ~broadcast:_ ~ctx:_ payload -> on_rx node ~src payload));
+  node.nic <-
+    Some
+      (Nic.attach_view bus ~mid ~rx:(fun ~src ~broadcast:_ ~ctx:_ ~wire ~len ->
+           on_rx node ~src wire ~len));
   node
 
 let define_port node ~port handler = Hashtbl.replace node.ports port handler

@@ -55,7 +55,8 @@ type t = {
   part_group : (int, int) Hashtbl.t;
   mutable duplicate_pending : int;
   mutable jitter : (int * int) option;  (* (min_us, max_us) extra delivery delay *)
-  mutable seq_window : int option;  (* transport window claimed by the stations *)
+  mutable seq_window : (int * int) option;
+      (* transport window and sequence space claimed by the stations *)
 }
 
 let create ?(config = default_config) ?obs engine =
@@ -93,23 +94,18 @@ let pool t = t.pool
 
 let set_obs t obs = t.obs <- Some obs
 
-(* Seq-space width implied by a station's transport window; mirrors
-   Cost_model.seq_space's tiers (1-bit / 4-bit / 8-bit encodings). *)
-let seq_space_of_window w = if w <= 1 then 2 else if w <= 8 then 16 else 256
-
-let claim_seq_window t ~window =
+let claim_seq_window t ~window ~space =
   match t.seq_window with
-  | None -> t.seq_window <- Some window
-  | Some w when w = window -> ()
-  | Some w ->
+  | None -> t.seq_window <- Some (window, space)
+  | Some (w, _) when w = window -> ()
+  | Some (w, s) ->
     invalid_arg
       (Printf.sprintf
          "Bus.claim_seq_window: stations disagree on the transport window: the \
           first station claimed window %d (seq space %d), the new station wants \
           window %d (seq space %d). A receiver classifies packets against its \
           own window, so every station on one medium must use the same width"
-         w (seq_space_of_window w) window
-         (seq_space_of_window window))
+         w s window space)
 
 (* Hot call sites test [tracing] BEFORE building the event payload: the
    [Event.t] constructor argument is an allocation, and it was paid on
@@ -271,10 +267,12 @@ let deliver t frame =
       deliver_to t frame mids.(i) rxs.(i)
     done
 
-(* Core transmission path. [release] marks pool-owned wire buffers: the bus
-   frees them after the frame's LAST delivery event (the duplicated copy
-   strictly trails the original, so releasing with the final event is safe). *)
-let send_frame t ?ctx ~src ~dst ~release wire =
+(* The bus owns [wire] from here and releases it into the pool after the
+   frame's LAST delivery event (the duplicated copy strictly trails the
+   original, so releasing with the final event is safe). *)
+let send_wire t ?ctx ~src ~dst wire =
+  if Bytes.length wire < 2 then
+    invalid_arg "Bus.send_wire: frame shorter than its CRC trailer";
   let payload_bytes = Bytes.length wire - 2 in
   let frame = { Frame.src; dst; wire; ctx } in
   let now = Engine.now t.engine in
@@ -306,11 +304,10 @@ let send_frame t ?ctx ~src ~dst ~release wire =
   in
   let arrival = start + tx + t.config.propagation_us + jitter_us - now in
   let dup = t.duplicate_pending > 0 in
-  let release_now = release && not dup in
   ignore
     (Engine.schedule ~tag:"bus" t.engine ~delay:arrival (fun () ->
          deliver t frame;
-         if release_now then Pool.release t.pool wire));
+         if not dup then Pool.release t.pool wire));
   if dup then begin
     t.duplicate_pending <- t.duplicate_pending - 1;
     Stats.incr t.stats "bus.frames_duplicated";
@@ -320,13 +317,5 @@ let send_frame t ?ctx ~src ~dst ~release wire =
     ignore
       (Engine.schedule ~tag:"bus" t.engine ~delay:(arrival + tx + slack) (fun () ->
            deliver t frame;
-           if release then Pool.release t.pool wire))
+           Pool.release t.pool wire))
   end
-
-let send t ?ctx ~src ~dst payload =
-  send_frame t ?ctx ~src ~dst ~release:false (Crc16.append payload)
-
-let send_wire t ?ctx ~src ~dst wire =
-  if Bytes.length wire < 2 then
-    invalid_arg "Bus.send_wire: frame shorter than its CRC trailer";
-  send_frame t ?ctx ~src ~dst ~release:true wire

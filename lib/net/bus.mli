@@ -45,12 +45,13 @@ val set_obs : t -> Soda_obs.Recorder.t -> unit
 (** Every station on one medium must use the same reliable-protocol send
     window: the receive-side sequence arithmetic is derived from the local
     window, so stations with different windows — and hence possibly
-    different sequence-space widths (2 at window 1, 16 up to window 8,
-    256 above) — cannot interoperate. The first claim pins the medium's
-    window.
+    different sequence-space widths — cannot interoperate. [space] is the
+    sequence space the claiming station derives from its window (the
+    transport passes {!Soda_base.Cost_model.seq_space}); the bus only
+    reports it. The first claim pins the medium's window.
     @raise Invalid_argument when a later claim disagrees; the message
-    names both stations' windows and derived sequence spaces. *)
-val claim_seq_window : t -> window:int -> unit
+    names both stations' windows and sequence spaces. *)
+val claim_seq_window : t -> window:int -> space:int -> unit
 
 (** Set the per-delivery frame-loss probability.
     @raise Invalid_argument unless the rate is within [0, 1]. *)
@@ -105,20 +106,16 @@ val attach : t -> mid:int -> rx:(Frame.t -> unit) -> unit
 
 val detach : t -> mid:int -> unit
 
-(** [send t ?ctx ~src ~dst payload] queues [payload] (CRC trailer added
-    here) for transmission. Delivery happens after queueing +
-    transmission + propagation delay. Frames from one source to one
-    destination are delivered in order (the medium is serial). [ctx]
-    rides the frame as out-of-band causal metadata (it survives
-    duplication and jitter but is not part of the wire bytes). *)
-val send : t -> ?ctx:Soda_obs.Causal.ctx -> src:int -> dst:Frame.dst -> bytes -> unit
-
-(** [send_wire t ?ctx ~src ~dst wire] is {!send} for a pre-sealed frame:
-    [wire] already carries its CRC trailer ({!Crc16.seal}) and its
-    ownership transfers to the bus, which releases it into {!pool} after
-    the frame's last delivery event. The sender must not touch [wire]
-    after this call. Identical timing, fault handling and statistics to
-    {!send} (payload size is [Bytes.length wire - 2]).
+(** [send_wire t ?ctx ~src ~dst wire] queues a sealed frame for
+    transmission: [wire] already carries its CRC trailer ({!Crc16.seal})
+    and its ownership transfers to the bus, which releases it into {!pool}
+    after the frame's last delivery event. The sender must not touch
+    [wire] after this call. Delivery happens after queueing +
+    transmission + propagation delay, where the payload size is
+    [Bytes.length wire - 2]. Frames from one source to one destination are
+    delivered in order (the medium is serial). [ctx] rides the frame as
+    out-of-band causal metadata (it survives duplication and jitter but is
+    not part of the wire bytes).
     @raise Invalid_argument if [wire] is shorter than the 2-byte trailer. *)
 val send_wire :
   t -> ?ctx:Soda_obs.Causal.ctx -> src:int -> dst:Frame.dst -> bytes -> unit

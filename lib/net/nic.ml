@@ -8,10 +8,9 @@ type t = {
   mutable enabled : bool;
 }
 
-(* Shared CRC screen: [deliver frame len] is called with the in-place
-   payload length after the trailer verified, or len = -1 on mismatch
-   handled here. *)
-let make ?stats bus ~mid ~deliver =
+(* CRC screen: a frame whose trailer fails to verify is dropped here;
+   a good one is handed to [rx] as a view of the frame buffer. *)
+let attach_view ?stats bus ~mid ~rx =
   let t = { bus; mid; stats; crc_drops = 0; enabled = true } in
   Bus.attach bus ~mid ~rx:(fun frame ->
       if t.enabled then begin
@@ -22,31 +21,16 @@ let make ?stats bus ~mid ~deliver =
           | Some s -> Stats.incr s "nic.crc_drops"
           | None -> ()
         end
-        else deliver frame len
+        else
+          let broadcast =
+            match frame.Frame.dst with Frame.Broadcast -> true | Frame.To _ -> false
+          in
+          rx ~src:frame.Frame.src ~broadcast ~ctx:frame.Frame.ctx ~wire:frame.Frame.wire
+            ~len
       end);
   t
 
-let attach ?stats bus ~mid ~rx =
-  make ?stats bus ~mid ~deliver:(fun frame len ->
-      let payload = Bytes.sub frame.Frame.wire 0 len in
-      let broadcast =
-        match frame.Frame.dst with Frame.Broadcast -> true | Frame.To _ -> false
-      in
-      rx ~src:frame.Frame.src ~broadcast ~ctx:frame.Frame.ctx payload)
-
-let attach_view ?stats bus ~mid ~rx =
-  make ?stats bus ~mid ~deliver:(fun frame len ->
-      let broadcast =
-        match frame.Frame.dst with Frame.Broadcast -> true | Frame.To _ -> false
-      in
-      rx ~src:frame.Frame.src ~broadcast ~ctx:frame.Frame.ctx ~wire:frame.Frame.wire
-        ~len)
-
 let mid t = t.mid
-
-let send t ?ctx ~dst payload = Bus.send t.bus ?ctx ~src:t.mid ~dst:(Frame.To dst) payload
-
-let broadcast t ?ctx payload = Bus.send t.bus ?ctx ~src:t.mid ~dst:Frame.Broadcast payload
 
 let send_wire t ?ctx ~dst wire = Bus.send_wire t.bus ?ctx ~src:t.mid ~dst:(Frame.To dst) wire
 

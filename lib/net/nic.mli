@@ -8,23 +8,15 @@
 
 type t
 
-(** [attach ?stats bus ~mid ~rx] creates the station; [rx] receives
-    verified payload bytes together with the sender's mid and whether the
-    frame was broadcast. When [stats] is given, CRC-failed frames also
-    increment its ["nic.crc_drops"] counter, so the drop count surfaces in
-    the node's metrics registry. *)
-val attach :
-  ?stats:Soda_sim.Stats.t ->
-  Bus.t ->
-  mid:int ->
-  rx:(src:int -> broadcast:bool -> ctx:Soda_obs.Causal.ctx option -> bytes -> unit) ->
-  t
-
-(** Zero-copy variant of {!attach}: [rx] receives the frame's wire buffer
-    and the verified payload length instead of a [Bytes.sub] copy — the
-    payload is [wire.[0 .. len-1]]. The buffer belongs to the bus (it may
-    be a pooled buffer recycled after this delivery), so [rx] must finish
-    reading before returning and must not retain [wire]. *)
+(** [attach_view ?stats bus ~mid ~rx] creates the station. [rx] receives
+    each verified frame together with the sender's mid and whether the
+    frame was broadcast, as a view: the frame's wire buffer and its
+    payload length — the payload is [wire.[0 .. len-1]]. The buffer
+    belongs to the bus (it may be a pooled buffer recycled after this
+    delivery), so [rx] must finish reading before returning and must not
+    retain [wire]. When [stats] is given, CRC-failed frames also increment
+    its ["nic.crc_drops"] counter, so the drop count surfaces in the
+    node's metrics registry. *)
 val attach_view :
   ?stats:Soda_sim.Stats.t ->
   Bus.t ->
@@ -40,18 +32,14 @@ val attach_view :
 
 val mid : t -> int
 
-(** [send t ?ctx ~dst payload] transmits to a specific machine; [ctx] is
-    out-of-band causal metadata riding the frame (see {!Frame.t}). *)
-val send : t -> ?ctx:Soda_obs.Causal.ctx -> dst:int -> bytes -> unit
-
-(** [broadcast t ?ctx payload] transmits to every station. *)
-val broadcast : t -> ?ctx:Soda_obs.Causal.ctx -> bytes -> unit
-
-(** [send_wire t ?ctx ~dst wire] transmits a pre-sealed frame ([wire]
-    carries its CRC trailer already); ownership transfers to the bus —
-    see {!Bus.send_wire}. *)
+(** [send_wire t ?ctx ~dst wire] transmits a sealed frame ([wire]
+    carries its CRC trailer already) to a specific machine; ownership
+    transfers to the bus — see {!Bus.send_wire}. [ctx] is out-of-band
+    causal metadata riding the frame (see {!Frame.t}). *)
 val send_wire : t -> ?ctx:Soda_obs.Causal.ctx -> dst:int -> bytes -> unit
 
+(** [broadcast_wire t ?ctx wire] transmits a sealed frame to every
+    station. *)
 val broadcast_wire : t -> ?ctx:Soda_obs.Causal.ctx -> bytes -> unit
 
 (** Frames dropped by this NIC due to CRC failure. *)

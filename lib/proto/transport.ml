@@ -60,7 +60,6 @@ type sent_pkt = {
          for no-record receivers (window > 1 only) *)
   mutable sp_retries : int;
   mutable sp_busy_attempts : int;
-  mutable sp_waiting_busy : bool;  (* window 1 only: parked between BUSY retries *)
   mutable sp_timer : Engine.event_id option;
   mutable sp_finished : bool;
   mutable sp_sent_at : int;
@@ -75,7 +74,7 @@ type pending_send = {
   ps_tid : int;
   ps_body : Wire.body;
   ps_done : send_outcome -> unit;
-  ps_retries : int;  (* preserved when a parked send is requeued *)
+  ps_retries : int;  (* carried over when a BUSY'd request is requeued *)
   ps_busy : int;
   ps_ready_at : int;  (* earliest launch time (BUSY backoff); 0 = immediately *)
 }
@@ -682,30 +681,45 @@ let queue_push_front queue x =
   Queue.transfer queue tmp;
   Queue.transfer tmp queue
 
-(* First pending send whose BUSY backoff has matured, preserving queue
-   order otherwise (a ready DATA may overtake a backing-off REQUEST). *)
-let pop_ready q now =
-  let skipped = Queue.create () in
-  let found = ref None in
-  while !found = None && not (Queue.is_empty q) do
-    let p = Queue.pop q in
-    if p.ps_ready_at <= now then found := Some p else Queue.push p skipped
-  done;
-  Queue.transfer q skipped;
-  Queue.transfer skipped q;
-  !found
+let filter_queue q keep =
+  let kept = Queue.create () in
+  Queue.iter (fun p -> if keep p then Queue.push p kept) q;
+  Queue.clear q;
+  Queue.transfer kept q
 
-let next_ready_at q = Queue.fold (fun acc p -> min acc p.ps_ready_at) max_int q
+(* Granted DATA goes ahead of every other pending send (FIFO among DATA):
+   the next slot must go to the exchange the server is already waiting
+   on, not to a REQUEST its parked handler would BUSY-bounce. *)
+let data_first q =
+  let puts = Queue.create () and rest = Queue.create () in
+  Queue.iter (fun p -> Queue.push p (if p.ps_kind = K_put_data then puts else rest)) q;
+  Queue.clear q;
+  Queue.transfer puts q;
+  Queue.transfer rest q
 
-(* The item [pop_ready] would return, without removing it. *)
-let peek_ready q now =
-  Queue.fold
-    (fun acc p ->
-      match acc with Some _ -> acc | None -> if p.ps_ready_at <= now then Some p else None)
-    None q
+let data_queued q = Queue.fold (fun found p -> found || p.ps_kind = K_put_data) false q
+
+(* The pending send to launch next: the first whose BUSY backoff has
+   matured. At window 1 a backing-off head blocks the queue, so its retry
+   takes the 1-bit slot before any later message does; granted DATA, the
+   one message allowed to overtake it, is always queued ahead of it. *)
+let next_ready t q now =
+  if win t = 1 then
+    let head = Queue.peek q in
+    if head.ps_ready_at <= now then Some head else None
+  else
+    Queue.fold
+      (fun acc p ->
+        match acc with Some _ -> acc | None -> if p.ps_ready_at <= now then Some p else None)
+      None q
+
+let next_ready_at q now =
+  Queue.fold (fun acc p -> if p.ps_ready_at > now then min acc p.ps_ready_at else acc) max_int q
 
 let remove_outstanding conn sp =
-  conn.outstanding <- List.filter (fun p -> p != sp) conn.outstanding
+  match conn.outstanding with
+  | p :: rest when p == sp -> conn.outstanding <- rest
+  | all -> conn.outstanding <- List.filter (fun p -> p != sp) all
 
 let cancel_sp_timer t sp =
   match sp.sp_timer with
@@ -713,6 +727,16 @@ let cancel_sp_timer t sp =
     Engine.cancel t.engine id;
     sp.sp_timer <- None
   | None -> ()
+
+(* Take [sp] out of the send window. Once the window is empty the
+   unassigned slots roll back to the base, so a slot the peer never
+   consumed (a timeout, a window-1 BUSY or unadvertised rejection) is
+   reused by the next message: the seed's unflipped bit, generalised. *)
+let retire t conn sp =
+  sp.sp_finished <- true;
+  cancel_sp_timer t sp;
+  remove_outstanding conn sp;
+  if conn.outstanding = [] then conn.send_next <- conn.send_base
 
 let rec transmit_sent t conn sp =
   let attempt = sp.sp_retries + sp.sp_busy_attempts in
@@ -783,16 +807,11 @@ and arm_retrans t conn sp =
              end
            end))
 
-(* Remove a slot WITHOUT advancing the window base: timeouts and
-   unadvertised rejections mean the peer never consumed the sequence
-   number, so it is reused for the next message once the window empties
-   (the seed's unflipped bit, generalised). *)
+(* Timeouts and window-1 unadvertised rejections: the peer never consumed
+   the sequence number, so the base does not advance. *)
 and finish_sent t conn sp outcome =
   if not sp.sp_finished then begin
-    sp.sp_finished <- true;
-    cancel_sp_timer t sp;
-    remove_outstanding conn sp;
-    if conn.outstanding = [] then conn.send_next <- conn.send_base;
+    retire t conn sp;
     sp.sp_done outcome;
     start_next t conn
   end
@@ -810,11 +829,7 @@ and apply_cum_ack t conn a =
     (try
        for off = 0 to d do
          let sq = (conn.send_base + off) mod sspace t in
-         match
-           List.find_opt
-             (fun p -> p.sp_seq = sq && not p.sp_finished)
-             conn.outstanding
-         with
+         match List.find_opt (fun p -> p.sp_seq = sq) conn.outstanding with
          | Some sp when sp.sp_kind = K_cancel ->
            if off < d then conn.deferred_ack <- Some a;
            raise Exit
@@ -823,12 +838,8 @@ and apply_cum_ack t conn a =
        done
      with Exit -> ());
     if !covered > 0 then begin
-      List.iter
-        (fun sp ->
-          sp.sp_finished <- true;
-          cancel_sp_timer t sp)
-        !acked;
-      conn.outstanding <- List.filter (fun p -> not p.sp_finished) conn.outstanding;
+      let oldest_first = List.rev !acked in
+      List.iter (retire t conn) oldest_first;
       conn.send_base <- (conn.send_base + !covered) mod sspace t;
       if conn.outstanding = [] then conn.send_next <- conn.send_base;
       if win t > 1 && tracing t then
@@ -844,7 +855,7 @@ and apply_cum_ack t conn a =
             event t
               (Event.Acked { tid = sp.sp_tid; peer = conn.peer; pkt = pkt_of_body sp.sp_body });
           sp.sp_done Out_acked)
-        (List.rev !acked);
+        oldest_first;
       start_next t conn
     end
   end
@@ -856,9 +867,7 @@ and apply_cum_ack t conn a =
 and resolve_consumed t conn sp k =
   if not sp.sp_finished then begin
     apply_cum_ack t conn (seq_prev t sp.sp_seq);
-    sp.sp_finished <- true;
-    cancel_sp_timer t sp;
-    remove_outstanding conn sp;
+    retire t conn sp;
     if conn.send_base = sp.sp_seq then begin
       conn.send_base <- seq_next t sp.sp_seq;
       if conn.outstanding = [] then conn.send_next <- conn.send_base
@@ -880,122 +889,64 @@ and resolve_consumed t conn sp k =
   end
 
 and start_next t conn =
-  let continue = ref true in
-  while !continue do
-    let extent = dist t conn.send_base conn.send_next in
-    if Queue.is_empty conn.sendq then continue := false
-    else begin
-      let now = Engine.now t.engine in
-      match peek_ready conn.sendq now with
-      | None ->
-        (* every queued send is backing off after a BUSY; wake when the
-           nearest matures *)
-        if conn.wake_timer = None then begin
-          let at = next_ready_at conn.sendq in
-          conn.wake_timer <-
-            Some
-              (defer t ~delay:(max 1 (at - now)) (fun () ->
-                   conn.wake_timer <- None;
-                   start_next t conn))
-        end;
-        continue := false
-      (* The DATA of an accepted exchange answers an explicit server
-         grant: the handler over there is already parked waiting for it,
-         so gating it on a collapsed cwnd can deadlock the window (the
-         in-flight REQUESTs it sits behind are BUSY-bounced by that very
-         handler). It bypasses the congestion window; the peer's receive
-         window still caps it. *)
-      | Some peeked
-        when extent >= (if peeked.ps_kind = K_put_data then win t else eff_win t conn)
-        -> continue := false
-      | Some _ ->
-        let pending =
-          match pop_ready conn.sendq now with Some p -> p | None -> assert false
-        in
-        let sp =
-          {
-            sp_kind = pending.ps_kind;
-            sp_tid = pending.ps_tid;
-            sp_body = pending.ps_body;
-            sp_seq = conn.send_next;
-            sp_run = win t > 1 && conn.outstanding = [];
-            sp_retries = pending.ps_retries;
-            sp_busy_attempts = pending.ps_busy;
-            sp_waiting_busy = false;
-            sp_timer = None;
-            sp_finished = false;
-            sp_sent_at = 0;
-            sp_done = pending.ps_done;
-          }
-        in
-        conn.send_next <- seq_next t conn.send_next;
-        conn.outstanding <- conn.outstanding @ [ sp ];
-        Stats.sample t.stats "net.window_occupancy" (List.length conn.outstanding);
-        transmit_sent t conn sp
-    end
-  done
-
-(* Window 1 only. The DATA of an in-progress exchange must not starve
-   behind a REQUEST that is bouncing off the very handler the exchange is
-   blocking: park the busy-waiting request back at the head of the queue
-   (BUSY did not consume its slot, so the slot is reused) and let the
-   pending Put_data go first. *)
-and park_busy_sent t conn sp =
-  cancel_sp_timer t sp;
-  sp.sp_finished <- true;
-  remove_outstanding conn sp;
-  if conn.outstanding = [] then conn.send_next <- conn.send_base;
-  queue_push_front conn.sendq
-    {
-      ps_kind = sp.sp_kind;
-      ps_tid = sp.sp_tid;
-      ps_body = sp.sp_body;
-      ps_done = sp.sp_done;
-      ps_retries = sp.sp_retries;
-      ps_busy = sp.sp_busy_attempts;
-      ps_ready_at = 0;
-    };
-  (* keep any pending DATA ahead of requeued requests *)
-  let puts = Queue.create () and rest = Queue.create () in
-  Queue.iter
-    (fun p -> Queue.push p (if p.ps_kind = K_put_data then puts else rest))
-    conn.sendq;
-  Queue.clear conn.sendq;
-  Queue.transfer puts conn.sendq;
-  Queue.transfer rest conn.sendq
+  if not (Queue.is_empty conn.sendq) then begin
+    let now = Engine.now t.engine in
+    match next_ready t conn.sendq now with
+    | None ->
+      (* the head (window 1) or every queued send (wider windows) is
+         backing off after a BUSY; wake when the nearest matures *)
+      if conn.wake_timer = None then begin
+        let at = next_ready_at conn.sendq now in
+        conn.wake_timer <-
+          Some
+            (defer t ~delay:(max 1 (at - now)) (fun () ->
+                 conn.wake_timer <- None;
+                 start_next t conn))
+      end
+    (* The DATA of an accepted exchange answers an explicit server
+       grant: the handler over there is already parked waiting for it,
+       so gating it on a collapsed cwnd can deadlock the window (the
+       in-flight REQUESTs it sits behind are BUSY-bounced by that very
+       handler). It bypasses the congestion window; the peer's receive
+       window still caps it. *)
+    | Some p
+      when dist t conn.send_base conn.send_next
+           >= if p.ps_kind = K_put_data then win t else eff_win t conn ->
+      ()
+    | Some pending ->
+      if Queue.peek conn.sendq == pending then ignore (Queue.pop conn.sendq)
+      else filter_queue conn.sendq (fun p -> p != pending);
+      let sp =
+        {
+          sp_kind = pending.ps_kind;
+          sp_tid = pending.ps_tid;
+          sp_body = pending.ps_body;
+          sp_seq = conn.send_next;
+          sp_run = win t > 1 && conn.outstanding = [];
+          sp_retries = pending.ps_retries;
+          sp_busy_attempts = pending.ps_busy;
+          sp_timer = None;
+          sp_finished = false;
+          sp_sent_at = 0;
+          sp_done = pending.ps_done;
+        }
+      in
+      conn.send_next <- seq_next t conn.send_next;
+      conn.outstanding <- conn.outstanding @ [ sp ];
+      Stats.sample t.stats "net.window_occupancy" (List.length conn.outstanding);
+      transmit_sent t conn sp;
+      start_next t conn
+  end
 
 let send_reliable t ~peer ~kind ~tid body ~on_done =
   let conn = conn_for t peer in
   touch t conn;
   if tracing t then event t (Event.Enqueue { tid; peer; pkt = pkt_of_body body });
-  let pending =
+  Queue.push
     { ps_kind = kind; ps_tid = tid; ps_body = body; ps_done = on_done; ps_retries = 0;
       ps_busy = 0; ps_ready_at = 0 }
-  in
-  (match kind with
-   | K_put_data ->
-     (match
-        List.find_opt
-          (fun sp -> sp.sp_waiting_busy && sp.sp_kind = K_request && not sp.sp_finished)
-          conn.outstanding
-      with
-      | Some sp ->
-        park_busy_sent t conn sp;
-        queue_push_front conn.sendq pending
-      | None when win t > 1 ->
-        (* keep granted DATA ahead of unsent requests (FIFO among DATA):
-           the next window slot must go to the exchange the server is
-           already waiting on, not to a new REQUEST it would BUSY-bounce *)
-        Queue.push pending conn.sendq;
-        let puts = Queue.create () and rest = Queue.create () in
-        Queue.iter
-          (fun p -> Queue.push p (if p.ps_kind = K_put_data then puts else rest))
-          conn.sendq;
-        Queue.clear conn.sendq;
-        Queue.transfer puts conn.sendq;
-        Queue.transfer rest conn.sendq
-      | None -> Queue.push pending conn.sendq)
-   | _ -> Queue.push pending conn.sendq);
+    conn.sendq;
+  if kind = K_put_data then data_first conn.sendq;
   start_next t conn
 
 (* ---- creation ----------------------------------------------------------- *)
@@ -1004,7 +955,8 @@ let create ~engine ~bus ~mid ~cost ~trace =
   (* One medium, one window: receive-side classification derives its
      sequence arithmetic from the LOCAL window, which is only sound if
      every station agrees. *)
-  Bus.claim_seq_window bus ~window:(Cost.transport_window cost);
+  Bus.claim_seq_window bus ~window:(Cost.transport_window cost)
+    ~space:(Cost.seq_space cost);
   let stats = Stats.create () in
   let hot =
     {
@@ -1210,13 +1162,17 @@ let srv_gc t txn =
            Hashtbl.remove t.srv_txns (txn.st_src, txn.st_tid);
            forget_causal t ~tid:txn.st_tid))
 
-let accept_check_done t txn ctx =
-  if (not ctx.ac_done) && (not ctx.ac_need_data) && not ctx.ac_awaiting_ack then begin
+let finish_accept t txn ctx outcome =
+  if not ctx.ac_done then begin
     ctx.ac_done <- true;
     txn.st_state <- Srv_completed;
     srv_gc t txn;
-    ctx.ac_on_done (Acc_success ctx.ac_received)
+    ctx.ac_on_done outcome
   end
+
+let accept_check_done t txn ctx =
+  if (not ctx.ac_need_data) && not ctx.ac_awaiting_ack then
+    finish_accept t txn ctx (Acc_success ctx.ac_received)
 
 let truncate_bytes data len =
   if Bytes.length data <= len then data else Bytes.sub data 0 len
@@ -1269,10 +1225,7 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
                  Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
                    "accept of tid %d: put data never arrived; declaring peer %d crashed"
                    requester_tid requester_mid;
-                 ctx.ac_done <- true;
-                 txn.st_state <- Srv_completed;
-                 srv_gc t txn;
-                 ctx.ac_on_done Acc_crashed
+                 finish_accept t txn ctx Acc_crashed
                end));
     let body =
       Wire.Accept
@@ -1286,20 +1239,8 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
                | Out_acked ->
                  ctx.ac_awaiting_ack <- false;
                  accept_check_done t txn ctx
-               | Out_error Wire.Err_cancelled ->
-                 if not ctx.ac_done then begin
-                   ctx.ac_done <- true;
-                   txn.st_state <- Srv_completed;
-                   srv_gc t txn;
-                   ctx.ac_on_done Acc_cancelled
-                 end
-               | Out_error _ | Out_timeout ->
-                 if not ctx.ac_done then begin
-                   ctx.ac_done <- true;
-                   txn.st_state <- Srv_completed;
-                   srv_gc t txn;
-                   ctx.ac_on_done Acc_crashed
-                 end
+               | Out_error Wire.Err_cancelled -> finish_accept t txn ctx Acc_cancelled
+               | Out_error _ | Out_timeout -> finish_accept t txn ctx Acc_crashed
                | Out_cancel_reply _ -> ());
            accept_check_done t txn ctx))
   | None ->
@@ -1331,49 +1272,20 @@ let cancel t ~tid ~on_done =
      | Rq_delivered -> send_remote_cancel t req on_done
      | Rq_sent ->
        let conn = conn_for t req.or_dst in
-       (* Still queued behind other traffic (or backing off after a
-          windowed BUSY)? Then the server will never see it again: kill it
-          locally. *)
-       let in_queue =
-         Queue.fold
-           (fun found p -> found || (p.ps_tid = tid && p.ps_kind = K_request))
-           false conn.sendq
-       in
-       if in_queue then begin
-         let keep = Queue.create () in
-         Queue.iter
-           (fun p -> if not (p.ps_tid = tid && p.ps_kind = K_request) then Queue.push p keep)
-           conn.sendq;
-         Queue.clear conn.sendq;
-         Queue.transfer keep conn.sendq;
+       let queued p = p.ps_tid = tid && p.ps_kind = K_request in
+       if Queue.fold (fun found p -> found || queued p) false conn.sendq then begin
+         (* Still queued behind other traffic, or backing off after a BUSY:
+            the server never took delivery, so kill it locally. A
+            window-1 head it was blocking may go now. *)
+         filter_queue conn.sendq (fun p -> not (queued p));
          req.or_state <- Rq_done;
          Hashtbl.remove t.out_reqs tid;
+         start_next t conn;
          on_done true
        end
-       else begin
-         match
-           List.find_opt
-             (fun sp ->
-               sp.sp_tid = tid && sp.sp_kind = K_request && sp.sp_waiting_busy
-               && not sp.sp_finished)
-             conn.outstanding
-         with
-         | Some sp ->
-           (* Bouncing off a busy handler (window 1): the server never took
-              delivery — BUSY does not consume the slot — so a local abort
-              is safe and the slot stays unconsumed. *)
-           sp.sp_finished <- true;
-           cancel_sp_timer t sp;
-           remove_outstanding conn sp;
-           if conn.outstanding = [] then conn.send_next <- conn.send_base;
-           req.or_state <- Rq_done;
-           Hashtbl.remove t.out_reqs tid;
-           start_next t conn;
-           on_done true
-         | None ->
-           (* Await the acknowledgement; the outcome callback resolves us. *)
-           req.or_cancel_pending <- Some on_done
-       end)
+       else
+         (* Await the acknowledgement; the outcome callback resolves us. *)
+         req.or_cancel_pending <- Some on_done)
 
 (* ---- incoming packet processing ------------------------------------------ *)
 
@@ -1496,67 +1408,57 @@ let flush_run_stale t conn ~key pkt =
 
 (* ---- responses to our own reliable sends --------------------------------- *)
 
+(* A BUSY nack sends the REQUEST back to the head of the send queue to
+   retry after a backoff. In the 1-bit space of window 1 the nack did not
+   consume the slot — consuming it would alias the previous message, whose
+   delayed duplicate would then be delivered twice — so the request
+   vacates its slot without advancing the base, as on a timeout, and keeps
+   its retry count: the retry reuses the same bit. Wider windows consume
+   the slot and retry under a fresh one. Either way queued DATA goes
+   first: it is what will free the busy handler. *)
 let handle_busy t conn tid =
   match
-    List.find_opt
-      (fun sp -> sp.sp_tid = tid && sp.sp_kind = K_request && not sp.sp_finished)
-      conn.outstanding
+    List.find_opt (fun sp -> sp.sp_tid = tid && sp.sp_kind = K_request) conn.outstanding
   with
   | None -> ()
   | Some sp ->
     sp.sp_busy_attempts <- sp.sp_busy_attempts + 1;
     Stats.incr t.stats "req.busy_received";
+    let requeue ~retries ~ready_at =
+      queue_push_front conn.sendq
+        {
+          ps_kind = sp.sp_kind;
+          ps_tid = sp.sp_tid;
+          ps_body = sp.sp_body;
+          ps_done = sp.sp_done;
+          ps_retries = retries;
+          ps_busy = sp.sp_busy_attempts;
+          ps_ready_at = ready_at;
+        };
+      data_first conn.sendq
+    in
     if win t = 1 then begin
-      (* Legacy alternating-bit semantics: BUSY did not consume the slot;
-         retry the same sequence number after the adaptive delay. *)
-      cancel_sp_timer t sp;
-      sp.sp_waiting_busy <- true;
-      let queued_put_data =
-        Queue.fold (fun found p -> found || p.ps_kind = K_put_data) false conn.sendq
+      (* Behind queued DATA the retry waits for the DATA's ack anyway (one
+         slot), by which time the handler it was parked on is free: it
+         needs no backoff. *)
+      let ready_at =
+        if data_queued conn.sendq then 0 else Engine.now t.engine + busy_delay t sp
       in
-      if queued_put_data then begin
-        (* A pending DATA transfer is what will free the busy handler; let
-           it overtake the parked request. *)
-        park_busy_sent t conn sp;
-        start_next t conn
-      end
-      else begin
-        let delay = busy_delay t sp in
-        sp.sp_timer <-
-          Some
-            (defer t ~delay (fun () ->
-                 sp.sp_timer <- None;
-                 if not sp.sp_finished then begin
-                   sp.sp_waiting_busy <- false;
-                   transmit_sent t conn sp
-                 end))
-      end
+      retire t conn sp;
+      requeue ~retries:sp.sp_retries ~ready_at;
+      start_next t conn
     end
     else begin
-      (* Windowed: the server consumed the slot to keep its receive window
-         coherent. Free the slot and requeue the request (head of queue,
-         backoff preserved) for a fresh one. *)
       let delay = busy_delay t sp in
       resolve_consumed t conn sp (fun () ->
-          queue_push_front conn.sendq
-            {
-              ps_kind = sp.sp_kind;
-              ps_tid = sp.sp_tid;
-              ps_body = sp.sp_body;
-              ps_done = sp.sp_done;
-              (* BUSY is proof of liveness: retransmissions swallowed by a
-                 pipelined hold before this nack must not keep eating the
-                 crash-detection budget across retry cycles *)
-              ps_retries = 0;
-              ps_busy = sp.sp_busy_attempts;
-              ps_ready_at = Engine.now t.engine + delay;
-            })
+          (* BUSY is proof of liveness: retransmissions swallowed by a
+             pipelined hold before this nack must not keep eating the
+             crash-detection budget across retry cycles *)
+          requeue ~retries:0 ~ready_at:(Engine.now t.engine + delay))
     end
 
 let handle_error t conn tid code =
-  match
-    List.find_opt (fun sp -> sp.sp_tid = tid && not sp.sp_finished) conn.outstanding
-  with
+  match List.find_opt (fun sp -> sp.sp_tid = tid) conn.outstanding with
   | None -> ()
   | Some sp ->
     if win t = 1 && code = Wire.Err_unadvertised then
@@ -1566,9 +1468,7 @@ let handle_error t conn tid code =
 
 let handle_cancel_reply t conn tid ok =
   match
-    List.find_opt
-      (fun sp -> sp.sp_tid = tid && sp.sp_kind = K_cancel && not sp.sp_finished)
-      conn.outstanding
+    List.find_opt (fun sp -> sp.sp_tid = tid && sp.sp_kind = K_cancel) conn.outstanding
   with
   | None -> ()
   | Some sp -> resolve_consumed t conn sp (fun () -> sp.sp_done (Out_cancel_reply ok))
@@ -1790,6 +1690,29 @@ let offer_request t conn src (r : Wire.body) seq ~resync =
        end)
   | _ -> assert false
 
+(* Consume the slot of an in-order ACCEPT, DATA or CANCEL and owe its
+   acknowledgement. An ACCEPT's ack is held long enough for the
+   kernel->client copy and the client's next request to piggyback it. *)
+let open_slot t conn ~resync pkt =
+  let cr = consume t conn ~key:(message_key pkt.Wire.body) ~resync pkt.Wire.seq in
+  let extra_grace =
+    match pkt.Wire.body with
+    | Wire.Accept { data; _ } ->
+      Cost.data_copy_us t.cost ~bytes:(Bytes.length data)
+      + t.cost.Cost.request_trap_us + t.cost.Cost.context_switch_us
+    | _ -> 0
+  in
+  owe_ack ~extra_grace t conn pkt.Wire.seq;
+  cr
+
+(* Act on the body whose slot [open_slot] consumed. *)
+let handle_slot t conn cr pkt =
+  match pkt.Wire.body with
+  | Wire.Accept _ -> handle_accept_body t conn cr pkt.Wire.src pkt.Wire.body
+  | Wire.Put_data _ -> handle_put_data t conn pkt.Wire.body
+  | Wire.Cancel_request _ -> handle_cancel_request t conn cr pkt.Wire.body
+  | _ -> ()
+
 (* Process parked packets that have become in-order (the gap filled, or a
    deferred REQUEST's handler freed). Stops at the first hold. *)
 let rec drain_recv t conn =
@@ -1798,7 +1721,6 @@ let rec drain_recv t conn =
      record existed (first contact with the input buffer full); it is the
      synchronisation point, so offer it as soon as the buffer drains. *)
   | base, pkt :: rest when base = None || base = Some pkt.Wire.seq ->
-    let key = message_key pkt.Wire.body in
     (match pkt.Wire.body with
      | Wire.Request _ ->
        (match offer_request t conn pkt.Wire.src pkt.Wire.body pkt.Wire.seq ~resync:false with
@@ -1806,30 +1728,9 @@ let rec drain_recv t conn =
           conn.recv_buf <- rest;
           drain_recv t conn
         | `Held -> ())
-     | Wire.Accept { data; _ } ->
-       conn.recv_buf <- rest;
-       let cr = consume t conn ~key ~resync:false pkt.Wire.seq in
-       let extra_grace =
-         Cost.data_copy_us t.cost ~bytes:(Bytes.length data)
-         + t.cost.Cost.request_trap_us + t.cost.Cost.context_switch_us
-       in
-       owe_ack ~extra_grace t conn pkt.Wire.seq;
-       handle_accept_body t conn cr pkt.Wire.src pkt.Wire.body;
-       drain_recv t conn
-     | Wire.Put_data _ ->
-       conn.recv_buf <- rest;
-       ignore (consume t conn ~key ~resync:false pkt.Wire.seq);
-       owe_ack t conn pkt.Wire.seq;
-       handle_put_data t conn pkt.Wire.body;
-       drain_recv t conn
-     | Wire.Cancel_request _ ->
-       conn.recv_buf <- rest;
-       let cr = consume t conn ~key ~resync:false pkt.Wire.seq in
-       owe_ack t conn pkt.Wire.seq;
-       handle_cancel_request t conn cr pkt.Wire.body;
-       drain_recv t conn
      | _ ->
        conn.recv_buf <- rest;
+       handle_slot t conn (open_slot t conn ~resync:false pkt) pkt;
        drain_recv t conn)
   | _ -> ()
 
@@ -1904,7 +1805,7 @@ let flush_buffered t =
           (Wire.Error { tid = br.br_tid; code = Wire.Err_unadvertised })));
   (* The freed handler (and possibly the freed input buffer) may unblock a
      REQUEST deferred at the head of a receive window. *)
-  if win t > 1 then Hashtbl.iter (fun _ conn -> drain_recv t conn) t.conns
+  Hashtbl.iter (fun _ conn -> drain_recv t conn) t.conns
 
 let process_packet t ?ctx ~bytes pkt =
   let src = pkt.Wire.src in
@@ -1947,21 +1848,12 @@ let process_packet t ?ctx ~bytes pkt =
      register the owed acknowledgement BEFORE processing the piggybacked
      ack: acking our in-flight message may immediately transmit the next
      queued one, which should carry the ack we now owe (§5.2.3). *)
-  let consumed_cr = ref None in
-  (match pkt.Wire.body, cls with
-   | Wire.Accept { data; _ }, Some (In_order | Resync) ->
-     consumed_cr := Some (consume t conn ~key ~resync pkt.Wire.seq);
-     (* Hold the ack long enough for the kernel->client copy and the
-        client's next request to piggyback it. *)
-     let extra_grace =
-       Cost.data_copy_us t.cost ~bytes:(Bytes.length data)
-       + t.cost.Cost.request_trap_us + t.cost.Cost.context_switch_us
-     in
-     owe_ack ~extra_grace t conn pkt.Wire.seq
-   | (Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
-     consumed_cr := Some (consume t conn ~key ~resync pkt.Wire.seq);
-     owe_ack t conn pkt.Wire.seq
-   | _ -> ());
+  let opened =
+    match pkt.Wire.body, cls with
+    | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
+      Some (open_slot t conn ~resync pkt)
+    | _ -> None
+  in
   (* A BUSY must be interpreted before the cumulative ack riding the same
      packet: at window >1 the busy'd slot was consumed by the peer, and the
      plain ack walk must not mistake it for a success. *)
@@ -2005,14 +1897,8 @@ let process_packet t ?ctx ~bytes pkt =
     handle_put_data t conn pkt.Wire.body
   | (Wire.Accept _ | Wire.Cancel_request _), Some Out_of_order ->
     stash t conn pkt
-  | Wire.Accept _, Some (In_order | Resync) ->
-    handle_accept_body t conn (Option.get !consumed_cr) src pkt.Wire.body;
-    drain_recv t conn
-  | Wire.Put_data _, Some (In_order | Resync) ->
-    handle_put_data t conn pkt.Wire.body;
-    drain_recv t conn
-  | Wire.Cancel_request _, Some (In_order | Resync) ->
-    handle_cancel_request t conn (Option.get !consumed_cr) pkt.Wire.body;
+  | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
+    handle_slot t conn (Option.get opened) pkt;
     drain_recv t conn
   | Wire.Ack, _ -> ()
   | Wire.Busy _, _ -> () (* handled above, before the cumulative ack *)

@@ -25,8 +25,11 @@
       bit is accepted; wider windows: only a run-start-flagged packet may
       establish the window base), expires after MPL + Delta-t of silence;
     - {b BUSY NACKs}: a REQUEST meeting a busy/closed handler is refused
-      without consuming the sequence bit and retried by the requester at an
-      adaptively slowed rate; retries never carry data;
+      and retried by the requester at an adaptively slowed rate, behind any
+      granted put data it owes the same server; retries never carry data.
+      At window 1 the refusal does not consume the sequence bit (a
+      consumed bit would alias the previous message); wider windows
+      consume the slot and retry under a fresh one;
     - the {b pipelined input buffer} (when [cost.pipelined]): instead of a
       BUSY NACK, one arriving REQUEST is held and re-offered to the kernel
       when the handler frees up. At windows > 1 a further in-order REQUEST

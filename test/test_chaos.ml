@@ -607,7 +607,7 @@ let run_karn ~ack_first =
   let requests_seen = ref 0 in
   let peer = ref None in
   let p =
-    Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
+    attach_copy bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
         match Wire.decode_sub payload ~off:0 ~len:(Bytes.length payload) with
         | Error _ -> ()
         | Ok pkt ->
@@ -622,7 +622,7 @@ let run_karn ~ack_first =
                in
                ignore
                  (Engine.schedule engine ~delay:500 (fun () ->
-                      Nic.send (Option.get !peer) ~dst:0 ack))
+                      Nic.send_wire (Option.get !peer) ~dst:0 (seal_frame bus ack)))
              end
            | _ -> ()))
   in

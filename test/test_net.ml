@@ -46,6 +46,10 @@ let prop_crc_detects_single_flip =
 
 (* ---- bus / nic -------------------------------------------------------------- *)
 
+(* A copying station and send over the pooled frame path. *)
+let attach = Helpers.attach_copy
+let send bus nic ~dst payload = Nic.send_wire nic ~dst (Helpers.seal_frame bus payload)
+
 let setup ?(config = Bus.default_config) () =
   let e = Engine.create ~seed:3 () in
   let bus = Bus.create ~config e in
@@ -54,10 +58,10 @@ let setup ?(config = Bus.default_config) () =
 let test_unicast_delivery () =
   let e, bus = setup () in
   let got = ref None in
-  let n1 = Nic.attach bus ~mid:1 ~rx:(fun ~src ~broadcast:_ ~ctx:_ p -> got := Some (src, p)) in
-  let n2 = Nic.attach bus ~mid:2 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> Alcotest.fail "mid 2 got frame") in
+  let n1 = attach bus ~mid:1 ~rx:(fun ~src ~broadcast:_ ~ctx:_ p -> got := Some (src, p)) in
+  let n2 = attach bus ~mid:2 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> Alcotest.fail "mid 2 got frame") in
   ignore n1;
-  Nic.send n2 ~dst:1 (b "ping");
+  send bus n2 ~dst:1 (b "ping");
   ignore (Engine.run e);
   match !got with
   | Some (2, p) -> Alcotest.(check string) "payload" "ping" (Bytes.to_string p)
@@ -66,11 +70,11 @@ let test_unicast_delivery () =
 let test_broadcast_excludes_sender () =
   let e, bus = setup () in
   let hits = ref [] in
-  let sender = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> hits := 0 :: !hits) in
+  let sender = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> hits := 0 :: !hits) in
   for mid = 1 to 3 do
-    ignore (Nic.attach bus ~mid ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> hits := mid :: !hits))
+    ignore (attach bus ~mid ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> hits := mid :: !hits))
   done;
-  Nic.broadcast sender (b "hello");
+  Nic.broadcast_wire sender (Helpers.seal_frame bus (b "hello"));
   ignore (Engine.run e);
   Alcotest.(check (list int)) "all but sender, ascending" [ 1; 2; 3 ] (List.rev !hits)
 
@@ -79,9 +83,9 @@ let test_transmission_time () =
   (* 100-byte payload + 8 overhead + 2 crc = 110 bytes = 880 bits at 1 Mbit
      = 880 us, + 5 us propagation. *)
   let arrival = ref 0 in
-  ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> arrival := Engine.now e));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
-  Nic.send n0 ~dst:1 (Bytes.create 100);
+  ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> arrival := Engine.now e));
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  send bus n0 ~dst:1 (Bytes.create 100);
   ignore (Engine.run e);
   Alcotest.(check int) "bandwidth-accurate latency" 885 !arrival
 
@@ -89,11 +93,11 @@ let test_medium_serialisation () =
   let e, bus = setup () in
   let arrivals = ref [] in
   ignore
-    (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ ->
+    (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ ->
          arrivals := Engine.now e :: !arrivals));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
-  Nic.send n0 ~dst:1 (Bytes.create 100);
-  Nic.send n0 ~dst:1 (Bytes.create 100);
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  send bus n0 ~dst:1 (Bytes.create 100);
+  send bus n0 ~dst:1 (Bytes.create 100);
   ignore (Engine.run e);
   match List.rev !arrivals with
   | [ t1; t2 ] ->
@@ -105,9 +109,9 @@ let test_loss_injection () =
   let config = { Bus.default_config with loss_rate = 1.0 } in
   let e, bus = setup ~config () in
   let got = ref false in
-  ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> got := true));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
-  Nic.send n0 ~dst:1 (b "doomed");
+  ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> got := true));
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  send bus n0 ~dst:1 (b "doomed");
   ignore (Engine.run e);
   Alcotest.(check bool) "frame lost" false !got;
   Alcotest.(check int) "loss counted" 1 (Soda_sim.Stats.counter (Bus.stats bus) "bus.frames_lost")
@@ -116,9 +120,9 @@ let test_corruption_dropped_by_crc () =
   let config = { Bus.default_config with corruption_rate = 1.0 } in
   let e, bus = setup ~config () in
   let got = ref false in
-  let n1 = Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> got := true) in
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
-  Nic.send n0 ~dst:1 (b "garbled");
+  let n1 = attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> got := true) in
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  send bus n0 ~dst:1 (b "garbled");
   ignore (Engine.run e);
   Alcotest.(check bool) "corrupted frame never reaches the kernel" false !got;
   Alcotest.(check int) "crc drop counted" 1 (Nic.crc_drops n1)
@@ -126,14 +130,14 @@ let test_corruption_dropped_by_crc () =
 let test_nic_disable () =
   let e, bus = setup () in
   let got = ref false in
-  let n1 = Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> got := true) in
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  let n1 = attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> got := true) in
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   Nic.disable n1;
-  Nic.send n0 ~dst:1 (b "x");
+  send bus n0 ~dst:1 (b "x");
   ignore (Engine.run e);
   Alcotest.(check bool) "disabled nic silent" false !got;
   Nic.enable n1;
-  Nic.send n0 ~dst:1 (b "y");
+  send bus n0 ~dst:1 (b "y");
   ignore (Engine.run e);
   Alcotest.(check bool) "re-enabled nic receives" true !got
 
@@ -162,9 +166,9 @@ let test_crc_drops_in_metrics () =
   let config = { Bus.default_config with corruption_rate = 1.0 } in
   let e, bus = setup ~config () in
   let stats = Soda_sim.Stats.create () in
-  let n1 = Nic.attach ~stats bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
-  Nic.send n0 ~dst:1 (b "garbled");
+  let n1 = attach ~stats bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  send bus n0 ~dst:1 (b "garbled");
   ignore (Engine.run e);
   Alcotest.(check int) "private counter" 1 (Nic.crc_drops n1);
   Alcotest.(check int) "surfaced in the metrics registry" 1
@@ -173,16 +177,16 @@ let test_crc_drops_in_metrics () =
 let test_partition_and_heal () =
   let e, bus = setup () in
   let got = ref 0 in
-  ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   Bus.set_partition bus ([ 0 ], [ 1 ]);
-  Nic.send n0 ~dst:1 (b "eaten");
+  send bus n0 ~dst:1 (b "eaten");
   ignore (Engine.run e);
   Alcotest.(check int) "frame crossing the cut dropped" 0 !got;
   Alcotest.(check int) "partition drop counted" 1
     (Soda_sim.Stats.counter (Bus.stats bus) "bus.frames_partitioned");
   Bus.heal bus;
-  Nic.send n0 ~dst:1 (b "through");
+  send bus n0 ~dst:1 (b "through");
   ignore (Engine.run e);
   Alcotest.(check int) "after heal frames flow" 1 !got;
   Alcotest.check_raises "mid in both groups rejected"
@@ -192,11 +196,11 @@ let test_partition_and_heal () =
 let test_partition_eats_inflight_frame () =
   let e, bus = setup () in
   let got = ref 0 in
-  ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   (* The frame enters the medium first; the cut appears while it is in
      flight (delivery happens at ~117 us for a 6-byte payload). *)
-  Nic.send n0 ~dst:1 (b "launch");
+  send bus n0 ~dst:1 (b "launch");
   ignore (Engine.schedule e ~delay:1 (fun () -> Bus.set_partition bus ([ 0 ], [ 1 ])));
   ignore (Engine.run e);
   Alcotest.(check int) "in-flight frame eaten by the cut" 0 !got
@@ -204,21 +208,21 @@ let test_partition_eats_inflight_frame () =
 let test_third_party_unaffected_by_partition () =
   let e, bus = setup () in
   let got = ref 0 in
-  ignore (Nic.attach bus ~mid:2 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  ignore (attach bus ~mid:2 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   Bus.set_partition bus ([ 0 ], [ 1 ]);
-  Nic.send n0 ~dst:2 (b "bystander");
+  send bus n0 ~dst:2 (b "bystander");
   ignore (Engine.run e);
   Alcotest.(check int) "mid outside both groups still reachable" 1 !got
 
 let test_duplicate_next () =
   let e, bus = setup () in
   let got = ref 0 in
-  ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   Bus.duplicate_next bus;
-  Nic.send n0 ~dst:1 (b "twice");
-  Nic.send n0 ~dst:1 (b "once");
+  send bus n0 ~dst:1 (b "twice");
+  send bus n0 ~dst:1 (b "once");
   ignore (Engine.run e);
   Alcotest.(check int) "first frame delivered twice, second once" 3 !got;
   Alcotest.(check int) "duplication counted" 1
@@ -227,8 +231,8 @@ let test_duplicate_next () =
 let test_delay_jitter_validation_and_delivery () =
   let e, bus = setup () in
   let got = ref 0 in
-  ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
-  let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> incr got));
+  let n0 = attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   Alcotest.(check bool) "negative jitter rejected" true
     (try Bus.set_delay_jitter bus ~min_us:(-1) ~max_us:5; false
      with Invalid_argument _ -> true);
@@ -236,7 +240,7 @@ let test_delay_jitter_validation_and_delivery () =
     (try Bus.set_delay_jitter bus ~min_us:10 ~max_us:5; false
      with Invalid_argument _ -> true);
   Bus.set_delay_jitter bus ~min_us:100 ~max_us:5_000;
-  for _ = 1 to 5 do Nic.send n0 ~dst:1 (b "wobbly") done;
+  for _ = 1 to 5 do send bus n0 ~dst:1 (b "wobbly") done;
   ignore (Engine.run e);
   Alcotest.(check int) "jittered frames still all delivered" 5 !got
 
@@ -255,7 +259,7 @@ let test_partition_semantics () =
   let burst () =
     log := [];
     List.iter
-      (fun (src, dst) -> Bus.send bus ~src ~dst:(Frame.To dst) (b "x"))
+      (fun (src, dst) -> Bus.send_wire bus ~src ~dst:(Frame.To dst) (Helpers.seal_frame bus (b "x")))
       [ (1, 3); (3, 1); (1, 2); (3, 5); (5, 3); (5, 1) ];
     ignore (Engine.run e);
     List.sort compare !log
@@ -275,10 +279,10 @@ let test_partition_semantics () =
 
 let test_duplicate_mid_rejected () =
   let _, bus = setup () in
-  ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()));
+  ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()));
   Alcotest.check_raises "duplicate station"
     (Invalid_argument "Bus.attach: mid 1 already attached") (fun () ->
-      ignore (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ())))
+      ignore (attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ())))
 
 let suites =
   [

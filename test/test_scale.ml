@@ -33,7 +33,7 @@ let prop_encode_equals_seed_allocator =
   QCheck.Test.make ~name:"pooled encoder matches seed Buffer allocator byte-for-byte"
     ~count:1000 Test_wire.arb_packet (fun pkt ->
       let fast = Wire.encode pkt in
-      let seed = Wire.encode_buffer pkt in
+      let seed = Helpers.Seed_encoder.encode pkt in
       Bytes.equal fast seed && Wire.encoded_size pkt = Bytes.length seed)
 
 let arb_packet_at_offset =
@@ -181,7 +181,7 @@ let gen_schedule rng ~mids ~ops =
 let apply_real bus = function
   | Send { src; dst; payload } ->
     let dst = match dst with Some m -> Frame.To m | None -> Frame.Broadcast in
-    Bus.send bus ~src ~dst payload
+    Bus.send_wire bus ~src ~dst (Helpers.seal_frame bus payload)
   | Partition (ga, gb) -> Bus.set_partition bus (ga, gb)
   | Heal -> Bus.heal bus
   | Duplicate n -> Bus.duplicate_next ~count:n bus

@@ -363,7 +363,7 @@ let test_slot_reuse_stale_stash () =
       classify_unknown_tid = (fun _ -> `Stale);
     };
   ignore (Transport.attach_nic recv);
-  let peer = Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
+  let peer = attach_copy bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   let req ~tid ~seq ~run =
     Wire.encode
       {
@@ -379,7 +379,9 @@ let test_slot_reuse_stale_stash () =
       }
   in
   let at us frame =
-    ignore (Engine.schedule engine ~delay:us (fun () -> Nic.send peer ~dst:0 frame))
+    ignore
+      (Engine.schedule engine ~delay:us (fun () ->
+           Nic.send_wire peer ~dst:0 (seal_frame bus frame)))
   in
   (* era A: slot 0 delivered; slots 2-3 arrive out of order and are
      stashed; slot 1 is "lost" and era A's sender gives up on all three *)
@@ -397,6 +399,140 @@ let test_slot_reuse_stale_stash () =
   ignore (Engine.run ~until:100_000 engine);
   Alcotest.(check (list int)) "exactly the live-era messages, in order"
     [ 101; 201; 202; 203 ] (List.rev !delivered)
+
+(* Window 1 guard: a BUSY nack must not consume the 1-bit slot. If it
+   did, the slot after the nacked request's would alias the previous
+   message's, and a delayed duplicate of that message would be delivered
+   a second time instead of being answered from its replay record. *)
+let test_w1_busy_keeps_replay () =
+  let engine = Engine.create ~seed:13 () in
+  let trace = Trace.create ~enabled:false () in
+  let bus = Bus.create engine in
+  let srv = Transport.create ~engine ~bus ~mid:0 ~cost:Cost.non_pipelined ~trace in
+  let delivered = ref [] in
+  Transport.set_callbacks srv
+    {
+      Transport.deliver_request =
+        (fun ~src:_ ~tid ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ ->
+          if tid = 2 then `Busy
+          else begin
+            delivered := tid :: !delivered;
+            `Deliver
+          end);
+      complete_request = (fun ~tid:_ _ -> ());
+      advertised = (fun _ -> true);
+      classify_unknown_tid = (fun _ -> `Stale);
+    };
+  ignore (Transport.attach_nic srv);
+  let busy_seen = ref 0 in
+  let peer =
+    attach_copy bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
+        match Wire.decode payload with
+        | Ok { Wire.body = Wire.Busy { tid = 2 }; _ } -> incr busy_seen
+        | Ok _ | Error _ -> ())
+  in
+  let req ~tid ~seq =
+    Wire.encode
+      {
+        Wire.src = 1;
+        reliable = true;
+        seq;
+        ack = None;
+        run = false;
+        body =
+          Wire.Request
+            { tid; pattern = patt; arg = 0; put_size = 0; get_size = 0;
+              data = Bytes.empty; retry = false };
+      }
+  in
+  let at us frame =
+    ignore
+      (Engine.schedule engine ~delay:us (fun () ->
+           Nic.send_wire peer ~dst:0 (seal_frame bus frame)))
+  in
+  at 0 (req ~tid:1 ~seq:0);
+  at 5_000 (req ~tid:2 ~seq:1);
+  (* the delayed duplicate of request 1, after request 2 was nacked *)
+  at 10_000 (req ~tid:1 ~seq:0);
+  ignore (Engine.run ~until:100_000 engine);
+  Alcotest.(check int) "request 2 was BUSY-nacked" 1 !busy_seen;
+  Alcotest.(check (list int)) "request 1 delivered exactly once" [ 1 ] !delivered;
+  Alcotest.(check int) "its duplicate was replayed" 1
+    (Stats.counter (Transport.stats srv) "pkt.duplicates")
+
+(* A window-1 pipelined PUT stream under 5% loss, in the shape of bench
+   A3 (100 words, 3 outstanding, 60 ops, seed 271). The DATA of an
+   accepted exchange answers a grant the server's handler is parked on,
+   so it must take the next send slot: a REQUEST launched ahead of it
+   meets the parked handler and is BUSY-bounced. Queued behind the
+   REQUESTs, the DATA drew 25 nacks in this run. *)
+let test_w1_data_first () =
+  let words = 100 and n = 60 and outstanding = 3 in
+  let net, kernels = make_net ~seed:271 ~trace:true 2 in
+  Bus.set_loss_rate (Network.bus net) 0.05;
+  let server = List.nth kernels 0 and client = List.nth kernels 1 in
+  ignore
+    (Sodal.attach server
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request =
+           (fun env info ->
+             let into = Bytes.create (max info.Sodal.put_size 1) in
+             ignore
+               (Sodal.accept_current_exchange env ~arg:0 ~into
+                  ~data:(Bytes.make (words * 2) 'R')));
+       });
+  let completions = ref 0 in
+  let put = Bytes.make (words * 2) 'D' in
+  ignore
+    (Sodal.attach client
+       {
+         Sodal.default_spec with
+         on_completion = (fun _ _ -> incr completions);
+         task =
+           (fun env ->
+             let sv = Sodal.server ~mid:0 ~pattern:patt in
+             let issued = ref 0 in
+             while !completions < n do
+               while !issued < n && !issued - !completions < outstanding do
+                 try
+                   ignore (Sodal.exchange env sv ~arg:0 put ~into:Bytes.empty);
+                   incr issued
+                 with Sodal.Too_many_requests -> Sodal.compute env 1000
+               done;
+               Sodal.idle env
+             done;
+             Sodal.serve env);
+       });
+  run ~horizon:1200.0 net;
+  Alcotest.(check int) "every PUT completed" n !completions;
+  (* At window 1 one message holds the send slot. The REQUESTs sent while
+     a DATA waits must all be that one slot holder (launched at the latest
+     when the DATA was enqueued; its put-data copy can delay its first
+     transmission past the enqueue); a second one took a slot the DATA
+     should have had. *)
+  let waiting = Hashtbl.create 8 and overtaken = ref 0 in
+  List.iter
+    (fun (e : Event.t) ->
+      if e.Event.mid = 1 then
+        match e.Event.kind with
+        | Event.Enqueue { tid; pkt = Event.P_put_data; _ } -> Hashtbl.replace waiting tid []
+        | Event.Tx { tid; pkt = Event.P_put_data; _ } -> Hashtbl.remove waiting tid
+        | Event.Tx { tid; pkt = Event.P_request; _ } ->
+          Hashtbl.filter_map_inplace
+            (fun _ sent ->
+              if List.mem tid sent then Some sent
+              else begin
+                if sent <> [] then incr overtaken;
+                Some (tid :: sent)
+              end)
+            waiting
+        | _ -> ())
+    (Recorder.events (Network.recorder net));
+  Alcotest.(check int) "no REQUEST took a slot ahead of a granted DATA" 0 !overtaken;
+  Alcotest.(check int) "no BUSY nacks" 0
+    (Stats.counter (Kernel.stats server) "req.busy_nacked")
 
 (* Receive-side classification derives its sequence arithmetic from the
    LOCAL window; the bus refuses stations that disagree. *)
@@ -484,6 +620,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_rtt_converges;
         Alcotest.test_case "W=64 cwnd/rtt events bounded" `Quick test_cwnd_events_bounded;
         Alcotest.test_case "slot reuse across send eras" `Quick test_slot_reuse_stale_stash;
+        Alcotest.test_case "W=1 BUSY keeps the duplicate's replay" `Quick
+          test_w1_busy_keeps_replay;
+        Alcotest.test_case "W=1 granted DATA goes first" `Quick test_w1_data_first;
         Alcotest.test_case "bus refuses mismatched windows" `Quick
           test_window_mismatch_guard;
         Alcotest.test_case "long-busy hold converts to BUSY" `Quick

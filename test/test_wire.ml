@@ -213,9 +213,10 @@ let prop_wire_roundtrip =
   QCheck.Test.make ~name:"wire codec roundtrips arbitrary packets" ~count:500 arb_packet
     (fun pkt -> roundtrip pkt = pkt)
 
-(* The three encoders are one codec: the zero-copy [encode_into] and the
-   Buffer-based [encode_buffer] produce byte-identical frames of exactly
-   [encoded_size], for the full 8-bit seq/ack range. *)
+(* The encoders are one codec: the zero-copy [encode_into], [encode] and
+   the seed's Buffer-based encoder (the oracle in Helpers.Seed_encoder)
+   produce byte-identical frames of exactly [encoded_size], for the full
+   8-bit seq/ack range. *)
 let prop_encoders_agree =
   QCheck.Test.make ~name:"encode_into / encode_buffer / encoded_size agree" ~count:500
     arb_packet
@@ -224,7 +225,7 @@ let prop_encoders_agree =
       let buf = Bytes.make (size + 8) '\xAA' in
       let written = Wire.encode_into pkt buf ~off:3 in
       written = size
-      && Bytes.sub buf 3 written = Wire.encode_buffer pkt
+      && Bytes.sub buf 3 written = Helpers.Seed_encoder.encode pkt
       && Bytes.sub buf 3 written = Wire.encode pkt)
 
 (* Fuzz: decoding arbitrary bytes never raises; it returns Ok or Error. *)
@@ -273,7 +274,7 @@ let prop_bus_corruption_decode_total =
           let payload = Bytes.sub wire 0 (max 0 (Bytes.length wire - 2)) in
           (match Wire.decode payload with Ok _ | Error _ -> ());
           decoded := true);
-      Bus.send bus ~src:0 ~dst:(Frame.To 1) (Wire.encode pkt);
+      Bus.send_wire bus ~src:0 ~dst:(Frame.To 1) (Helpers.seal_frame bus (Wire.encode pkt));
       ignore (Engine.run engine);
       !decoded
       && Soda_sim.Stats.counter (Bus.stats bus) "bus.frames_corrupted" = 1)
