@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (chapter 5), paper value vs measured, plus the ablations
-   called out in DESIGN.md, and finally a small Bechamel wall-clock suite
-   (one Test.make per reproduced table).
+   called out in DESIGN.md. The gated sections (WINDOW, INCAST, STORE,
+   SCD, SCALE) each write one record to _bench_out/ (see record.ml).
 
    Run: dune exec bench/main.exe            (all sections)
         dune exec bench/main.exe T1 A3      (selected sections) *)
@@ -103,19 +103,12 @@ let t2s () =
 
 (* ---- TRACE: Chrome trace_event exports of the T1 workloads ------------------------ *)
 
-(* Bench artifacts (Chrome traces, ...) land in _bench_out/ instead of
-   littering the working directory; the directory is gitignored. *)
-let bench_out file =
-  let dir = "_bench_out" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Filename.concat dir file
-
 let trace_section () =
   hr "TRACE. Chrome trace_event exports (PUT / GET / EXCHANGE, 100 words)";
   List.iter
     (fun (slug, op) ->
       let r = W.stream ~op ~words:100 ~n:12 ~warmup:3 ~trace:true () in
-      let file = bench_out (Printf.sprintf "soda_trace_%s.json" slug) in
+      let file = Record.bench_out (Printf.sprintf "soda_trace_%s.json" slug) in
       let oc = open_out file in
       Soda_obs.Export.output_chrome oc (Soda_obs.Recorder.events r.W.recorder);
       close_out oc;
@@ -287,8 +280,8 @@ let a6 () =
 (* ---- WINDOW: sliding-window sweep + regression gate --------------------------------- *)
 
 (* Sweep the transport window W over the chunked STREAM workload and the
-   steady-state SIGNAL stream, write the machine-readable BENCH_pr5.json,
-   and enforce the two PR-5 regression gates:
+   steady-state SIGNAL stream, write the record _bench_out/WINDOW.json,
+   and enforce the two regression gates:
      - the W=1 SIGNAL figure must not regress the seed's T2S wall-clock
        per SIGNAL (the window machinery must leave stop-and-wait alone);
      - W=8 stream goodput at zero loss must be >= 2x the W=1 figure
@@ -363,24 +356,19 @@ let window_section () =
   let find w = List.find (fun (w', _, _, _, _) -> w' = w) rows in
   let _, _, goodput1, signal1, _ = find 1 in
   let _, _, goodput8, _, _ = find 8 in
-  (* machine-readable record of the sweep + the gate verdicts *)
   let w1_ok = signal1 <= seed_t2s_ms *. t2s_tolerance in
   let w8_ok = goodput8 >= 2.0 *. goodput1 in
-  let oc = open_out "BENCH_pr5.json" in
-  Printf.fprintf oc "{\n  \"seed_t2s_ms\": %.2f,\n  \"window_sweep\": [\n" seed_t2s_ms;
-  List.iteri
-    (fun i (w, stream_ms, goodput, signal_ms, pkts) ->
-      Printf.fprintf oc
-        "    { \"window\": %d, \"stream_ms\": %.1f, \"stream_goodput_kbs\": %.1f, \
-         \"signal_ms_per_op\": %.2f, \"packets_per_signal\": %.2f }%s\n"
-        w stream_ms goodput signal_ms pkts
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"gates\": { \"w1_t2s_no_regression\": %b, \"w8_stream_2x\": %b }\n}\n"
-    w1_ok w8_ok;
-  close_out oc;
-  Printf.printf "\n    wrote BENCH_pr5.json\n";
+  Record.write ~section:"WINDOW"
+    ~params:[ ("seed_t2s_ms", Record.Num (2, seed_t2s_ms)) ]
+    ~rows:
+      (List.map
+         (fun (w, stream_ms, goodput, ms, pkts) ->
+           Record.
+             [ ("window", Int w); ("stream_ms", Num (1, stream_ms));
+               ("stream_goodput_kbs", Num (1, goodput));
+               ("signal_ms_per_op", Num (2, ms)); ("packets_per_signal", Num (2, pkts)) ])
+         rows)
+    ~gates:[ ("w1_t2s_no_regression", w1_ok); ("w8_stream_2x", w8_ok) ];
   if not w1_ok then
     Printf.printf
       "    GATE FAILED: W=1 SIGNAL %.2f ms/op exceeds seed T2S %.2f ms (+%.0f%% cap)\n"
@@ -482,10 +470,10 @@ let incast_section () =
   hr "INCAST. Many-to-one SIGNAL burst: static (W=8) vs adaptive (W=64 + AIMD)";
   Printf.printf "    %-8s %18s %18s %14s %14s\n" "clients" "static ops/s"
     "adaptive ops/s" "static rtx" "adaptive rtx";
+  let ops = 32 in
   let rows =
     List.map
       (fun clients ->
-        let ops = 32 in
         let sg, sr = incast_run ~clients ~ops `Static in
         let ag, ar = incast_run ~clients ~ops `Adaptive in
         Printf.printf "    %-8d %18.1f %18.1f %13.1f%% %13.1f%%\n" clients sg ag
@@ -498,23 +486,17 @@ let incast_section () =
   in
   let goodput_ok = adaptive16 >= 2.0 *. static16 in
   let rtx_ok = adaptive16_rtx <= 0.15 in
-  let oc = open_out "BENCH_pr10.json" in
-  Printf.fprintf oc "{\n  \"ops_per_client\": 32,\n  \"incast\": [\n";
-  List.iteri
-    (fun i (clients, sg, sr, ag, ar) ->
-      Printf.fprintf oc
-        "    { \"clients\": %d, \"static_goodput_ops\": %.1f, \
-         \"static_retrans_ratio\": %.4f, \"adaptive_goodput_ops\": %.1f, \
-         \"adaptive_retrans_ratio\": %.4f }%s\n"
-        clients sg sr ag ar
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"gates\": { \"adaptive16_goodput_2x\": %b, \
-     \"adaptive16_retrans_le_15pct\": %b }\n}\n"
-    goodput_ok rtx_ok;
-  close_out oc;
-  Printf.printf "\n    wrote BENCH_pr10.json\n";
+  Record.write ~section:"INCAST"
+    ~params:[ ("ops_per_client", Record.Int ops) ]
+    ~rows:
+      (List.map
+         (fun (clients, sg, sr, ag, ar) ->
+           Record.
+             [ ("clients", Int clients); ("static_goodput_ops", Num (1, sg));
+               ("static_retrans_ratio", Num (4, sr)); ("adaptive_goodput_ops", Num (1, ag));
+               ("adaptive_retrans_ratio", Num (4, ar)) ])
+         rows)
+    ~gates:[ ("adaptive16_goodput_2x", goodput_ok); ("adaptive16_retrans_le_15pct", rtx_ok) ];
   if not goodput_ok then
     Printf.printf
       "    GATE FAILED: adaptive 16-client goodput %.1f ops/s < 2x static %.1f ops/s\n"
@@ -548,8 +530,8 @@ let store_section () =
   let module Stats = Soda_sim.Stats in
   let module FP = Soda_fault.Fault_plan in
   let frames net = Stats.counter (Soda_net.Bus.stats (Network.bus net)) "bus.frames_sent" in
-  let clients = 2 and ops = 30 in
-  let failures = ref [] in
+  let clients = 2 and ops = 30 and keys = 4 and seed = 77 and think_us = 30_000 in
+  let failures = ref [] and rows = ref [] in
   List.iter
     (fun n ->
       Printf.printf
@@ -560,9 +542,7 @@ let store_section () =
       let p99s =
         List.map
           (fun (label, loss, plan) ->
-            let run ops =
-              Harness.run ~n ~clients ~ops ~keys:4 ~seed:77 ~loss ~think_us:30_000 ?plan ()
-            in
+            let run ops = Harness.run ~n ~clients ~ops ~keys ~seed ~loss ~think_us ?plan () in
             let base = run 0 in
             let r = run ops in
             let m = Recorder.metrics (Network.recorder r.Harness.net) in
@@ -572,22 +552,37 @@ let store_section () =
                 (List.filter (fun (o : Harness.op) -> o.outcome <> `No_quorum)
                    r.Harness.history)
             in
-            let ms h p = float_of_int (Metrics.Histogram.percentile h p) /. 1000.0 in
-            let pct name =
+            let pct name p =
               match Metrics.histogram m name with
-              | Some h -> Printf.sprintf "%.1f/%.1f/%.1f" (ms h 50.0) (ms h 95.0) (ms h 99.0)
+              | Some h -> float_of_int (Metrics.Histogram.percentile h p) /. 1000.0
+              | None -> infinity
+            in
+            let pcts name =
+              match Metrics.histogram m name with
+              | Some _ ->
+                Printf.sprintf "%.1f/%.1f/%.1f" (pct name 50.0) (pct name 95.0) (pct name 99.0)
               | None -> "-"
             in
-            let p99 name =
-              match Metrics.histogram m name with Some h -> ms h 99.0 | None -> infinity
-            in
             let per_op c = float_of_int c /. float_of_int (max total 1) in
+            let pkts = per_op (frames r.Harness.net - frames base.Harness.net) in
+            let rounds = per_op (Metrics.counter m "store.rounds") in
+            let retries = Metrics.counter m "store.retries" in
             Printf.printf "    %-18s %3d/%2d  %-17s %-17s %8.1f %9.2f %8d\n" label ok total
-              (pct "store.read.us") (pct "store.write.us")
-              (per_op (frames r.Harness.net - frames base.Harness.net))
-              (per_op (Metrics.counter m "store.rounds"))
-              (Metrics.counter m "store.retries");
-            (label, (p99 "store.read.us", p99 "store.write.us")))
+              (pcts "store.read.us") (pcts "store.write.us") pkts rounds retries;
+            let latency op name =
+              List.map
+                (fun p -> (Printf.sprintf "%s_p%.0f_ms" op p, Record.Num (1, pct name p)))
+                [ 50.0; 95.0; 99.0 ]
+            in
+            rows :=
+              Record.(
+                [ ("n", Int n); ("configuration", Str label); ("ok", Int ok);
+                  ("ops", Int total) ]
+                @ latency "read" "store.read.us" @ latency "write" "store.write.us"
+                @ [ ("pkts_per_op", Num (1, pkts)); ("rounds_per_op", Num (2, rounds));
+                    ("retries", Int retries) ])
+              :: !rows;
+            (label, (pct "store.read.us" 99.0, pct "store.write.us" 99.0)))
           [
             ("healthy", 0.0, None);
             ("2% loss", 0.02, None);
@@ -609,6 +604,13 @@ let store_section () =
             [ ("read", read, healthy_read); ("write", write, healthy_write) ])
         [ "one replica down"; "crash mid-run" ])
     [ 3; 5 ];
+  Record.write ~section:"STORE"
+    ~params:
+      Record.
+        [ ("clients", Int clients); ("ops_per_client", Int ops); ("keys", Int keys);
+          ("seed", Int seed); ("think_us", Int think_us) ]
+    ~rows:(List.rev !rows)
+    ~gates:[ ("minority_p99_le_2x_healthy", !failures = []) ];
   if !failures <> [] then begin
     List.iter (Printf.printf "    GATE FAILED: %s\n") (List.rev !failures);
     exit 1
@@ -625,7 +627,7 @@ let store_section () =
    frame count is compared against the algorithm's analytic O(n^2) cost —
    every member echoes each application message once to each of its n-1
    peers, so a healthy run spends exactly n(n-1) FORWARD frames per
-   scd-broadcast. Writes a machine-readable BENCH_pr8.json.
+   scd-broadcast. Writes the record _bench_out/SCD.json.
 
    Regression gate (CI runs this section on every push): at n=64 the
    measured frames-per-broadcast must stay within 1.2x of n(n-1). A
@@ -650,9 +652,7 @@ let scd_row ~n ~clients ~ops ~mean_interarrival_us =
   let forwards = Metrics.counter m "scd.forwards" in
   let broadcasts = Metrics.counter m "scd.broadcasts" in
   let completed = List.length r.Harness.history in
-  let frames_per_bcast =
-    float_of_int forwards /. float_of_int (max broadcasts 1)
-  in
+  let frames_per_bcast = float_of_int forwards /. float_of_int (max broadcasts 1) in
   let frames_per_op = float_of_int forwards /. float_of_int (max completed 1) in
   let span_us =
     List.fold_left
@@ -675,7 +675,7 @@ let scd_row ~n ~clients ~ops ~mean_interarrival_us =
       (completed - lat_n) completed;
     exit 1
   end;
-  (n, completed, broadcasts, forwards, frames_per_bcast, frames_per_op, ops_per_sec, lat_ms)
+  (completed, broadcasts, forwards, frames_per_bcast, frames_per_op, ops_per_sec, lat_ms)
 
 let scd_section () =
   hr "SCD. Set-constrained delivery broadcast (lib/scd): O(n^2) message cost";
@@ -689,34 +689,27 @@ let scd_section () =
   let rows =
     List.map
       (fun (n, clients, ops, mean) ->
-        let _, completed, broadcasts, forwards, fpb, fpo, ops_s, lat_ms =
+        let completed, broadcasts, forwards, fpb, fpo, ops_s, lat_ms =
           scd_row ~n ~clients ~ops ~mean_interarrival_us:mean
         in
         Printf.printf "    %-6d %6d %7d %9d %11.1f %9d %9.0f %9.1f %8.1f\n" n completed
           broadcasts forwards fpb (bound n) fpo ops_s lat_ms;
-        (n, completed, broadcasts, forwards, fpb, fpo, ops_s, lat_ms))
+        ( (n, fpb),
+          Record.
+            [ ("n", Int n); ("client_ops", Int completed); ("broadcasts", Int broadcasts);
+              ("forwards", Int forwards); ("frames_per_broadcast", Num (1, fpb));
+              ("bound", Int (bound n)); ("frames_per_op", Num (0, fpo));
+              ("ops_per_sec", Num (1, ops_s)); ("mean_latency_ms", Num (1, lat_ms)) ] ))
       [ (8, 3, 8, 120_000); (64, 2, 5, 2_000_000) ]
   in
-  let find n =
-    List.find (fun (n', _, _, _, _, _, _, _) -> n' = n) rows
-  in
-  let _, _, _, _, fpb64, _, _, _ = find 64 in
+  let fpb64 = List.assoc 64 (List.map fst rows) in
   let gate_ok = fpb64 <= tolerance *. float_of_int (bound 64) in
-  let oc = open_out "BENCH_pr8.json" in
-  Printf.fprintf oc "{\n  \"analytic_frames_per_broadcast\": \"n*(n-1)\",\n";
-  Printf.fprintf oc "  \"tolerance\": %.2f,\n  \"scd\": [\n" tolerance;
-  List.iteri
-    (fun i (n, completed, broadcasts, forwards, fpb, fpo, ops_s, lat_ms) ->
-      Printf.fprintf oc
-        "    { \"n\": %d, \"client_ops\": %d, \"broadcasts\": %d, \"forwards\": %d, \
-         \"frames_per_broadcast\": %.1f, \"bound\": %d, \"frames_per_op\": %.0f, \
-         \"ops_per_sec\": %.1f, \"mean_latency_ms\": %.1f }%s\n"
-        n completed broadcasts forwards fpb (bound n) fpo ops_s lat_ms
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ],\n  \"gates\": { \"n64_quadratic_cost\": %b }\n}\n" gate_ok;
-  close_out oc;
-  Printf.printf "\n    wrote BENCH_pr8.json\n";
+  Record.write ~section:"SCD"
+    ~params:
+      Record.
+        [ ("analytic_frames_per_broadcast", Str "n*(n-1)"); ("tolerance", Num (2, tolerance)) ]
+    ~rows:(List.map snd rows)
+    ~gates:[ ("n64_quadratic_cost", gate_ok) ];
   if not gate_ok then begin
     Printf.printf
       "    GATE FAILED: n=64 frames/broadcast %.1f exceeds %.1fx analytic bound %d\n"
@@ -726,116 +719,6 @@ let scd_section () =
   Printf.printf "    gate OK: n=64 frames/broadcast %.1f within %.1fx of n(n-1)=%d\n"
     fpb64 tolerance (bound 64)
 
-(* ---- PROFILE: engine hot-path profiling --------------------------------------------- *)
-
-(* N-node SIGNAL ring: every node advertises the well-known pattern and
-   fires [ops] blocking SIGNALs at its successor while serving its own
-   predecessor, so all N streams run concurrently and the engine's event
-   rate and heap depth scale with N. Reports the engine's always-on
-   profiling counters (wall-clock events/sec, heap high-water, callbacks
-   by source tag) plus the opt-in GC allocation deltas, and writes the
-   machine-readable BENCH_pr6.json. *)
-
-let profile_ring ~nodes ~ops =
-  let module Pattern = Soda_base.Pattern in
-  let module Network = Soda_core.Network in
-  let module Sodal = Soda_runtime.Sodal in
-  let module Engine = Soda_sim.Engine in
-  let patt = Pattern.well_known 0o640 in
-  let net = Network.create ~seed:53 () in
-  let engine = Network.engine net in
-  Engine.set_profile_gc engine true;
-  let finished = ref 0 in
-  let spec ~next =
-    {
-      Sodal.default_spec with
-      init = (fun env ~parent:_ -> Sodal.advertise env patt);
-      on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
-      task =
-        (fun env ->
-          (* let the whole ring advertise before the first SIGNAL *)
-          Sodal.compute env 20_000;
-          let sv = Sodal.server ~mid:next ~pattern:patt in
-          for _ = 1 to ops do
-            let c = Sodal.b_signal env sv ~arg:0 in
-            if c.Sodal.status <> Sodal.Comp_ok then failwith "profile ring SIGNAL failed"
-          done;
-          incr finished;
-          Sodal.serve env);
-    }
-  in
-  let kernels = List.init nodes (fun mid -> Network.add_node net ~mid) in
-  List.iteri
-    (fun mid kernel -> ignore (Sodal.attach kernel (spec ~next:((mid + 1) mod nodes))))
-    kernels;
-  let virtual_us = Network.run ~until:3_600_000_000 net in
-  if !finished < nodes then
-    failwith (Printf.sprintf "profile ring n=%d: %d/%d nodes finished" nodes !finished nodes);
-  (engine, virtual_us)
-
-let profile_section () =
-  hr "PROFILE. Engine hot-path profiling (N-node SIGNAL ring)";
-  let module Engine = Soda_sim.Engine in
-  let ops = 40 in
-  let rows =
-    List.map
-      (fun nodes ->
-        let engine, virtual_us = profile_ring ~nodes ~ops in
-        (nodes, engine, virtual_us))
-      [ 8; 64 ]
-  in
-  Printf.printf "    %-6s %10s %12s %12s %10s %14s\n" "nodes" "fired" "wall ms"
-    "events/sec" "heap hw" "minor words";
-  List.iter
-    (fun (nodes, engine, _) ->
-      let c = Engine.counters engine in
-      let minor, _, _ = Engine.gc_words engine in
-      Printf.printf "    %-6d %10d %12.1f %12.0f %10d %14.0f\n" nodes c.Engine.fired
-        (Engine.wall_seconds engine *. 1e3)
-        (Engine.events_per_sec engine)
-        (Engine.heap_highwater engine) minor)
-    rows;
-  Printf.printf "\n    callbacks by source tag:\n";
-  List.iter
-    (fun (nodes, engine, _) ->
-      Printf.printf "    n=%-4d %s\n" nodes
-        (String.concat "  "
-           (List.map
-              (fun (tag, count) -> Printf.sprintf "%s=%d" tag count)
-              (Engine.tag_counts engine))))
-    rows;
-  (* machine-readable record, uploaded by CI next to BENCH_pr5.json *)
-  let oc = open_out "BENCH_pr6.json" in
-  Printf.fprintf oc "{\n  \"signal_ring_ops_per_node\": %d,\n  \"profile\": [\n" ops;
-  List.iteri
-    (fun i (nodes, engine, virtual_us) ->
-      let c = Engine.counters engine in
-      let minor, promoted, major = Engine.gc_words engine in
-      Printf.fprintf oc
-        "    { \"nodes\": %d, \"fired\": %d, \"virtual_us\": %d, \"wall_us\": %d, \
-         \"events_per_sec\": %.0f, \"heap_highwater\": %d, \"gc_minor_words\": %.0f, \
-         \"gc_promoted_words\": %.0f, \"gc_major_words\": %.0f, \"tags\": { %s } }%s\n"
-        nodes c.Engine.fired virtual_us
-        (int_of_float (Engine.wall_seconds engine *. 1e6))
-        (Engine.events_per_sec engine)
-        (Engine.heap_highwater engine) minor promoted major
-        (String.concat ", "
-           (List.map
-              (fun (tag, count) -> Printf.sprintf "\"%s\": %d" tag count)
-              (Engine.tag_counts engine)))
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\n    wrote BENCH_pr6.json\n";
-  let ok =
-    List.for_all (fun (_, engine, _) -> Engine.events_per_sec engine > 0.0) rows
-  in
-  if not ok then begin
-    Printf.printf "    GATE FAILED: events/sec not measured (wall clock did not advance)\n";
-    exit 1
-  end
-
 (* ---- SCALE: open-loop Zipf workload at thousands of nodes --------------------------- *)
 
 (* Sustain N nodes under the open-loop generator (lib/core/openloop.ml)
@@ -844,7 +727,8 @@ let profile_section () =
    count scales with N so big runs stay long enough to measure
    (N=4096 -> 1,048,576 root requests). Node counts come from
    SODA_SCALE_NODES (comma-separated; default "8,64" for CI — the
-   512/4096 points run in the nightly). Results land in BENCH_pr7.json.
+   512/4096 points run in the nightly). Results land in
+   _bench_out/SCALE.json.
 
    Regression gates: events/sec must be measurable at every N, and when
    both 8 and 64 run, N=64 throughput must hold >= 65% of N=8 (the seed's
@@ -888,24 +772,42 @@ let scale_section () =
   in
   Printf.printf "    %-6s %9s %10s %9s %11s %9s %11s %9s %8s\n" "nodes" "requests"
     "fired" "wall ms" "events/sec" "virt s" "req/sim-s" "words/ev" "shed";
-  List.iter
-    (fun (nodes, requests, r) ->
-      let engine = Network.engine r.O.net in
-      let c = Engine.counters engine in
-      let minor, _, _ = Engine.gc_words engine in
-      let words_per_event =
-        if c.Engine.fired = 0 then 0.0 else minor /. float_of_int c.Engine.fired
-      in
-      let req_per_sim_s =
-        float_of_int r.O.completed /. (float_of_int r.O.virtual_us /. 1e6)
-      in
-      Printf.printf "    %-6d %9d %10d %9.1f %11.0f %9.1f %11.0f %9.1f %8d\n" nodes
-        requests c.Engine.fired
-        (Engine.wall_seconds engine *. 1e3)
-        (Engine.events_per_sec engine)
-        (float_of_int r.O.virtual_us /. 1e6)
-        req_per_sim_s words_per_event r.O.shed)
-    rows;
+  let records =
+    List.map
+      (fun (nodes, requests, r) ->
+        let engine = Network.engine r.O.net in
+        let c = Engine.counters engine in
+        let minor, promoted, major = Engine.gc_words engine in
+        let words_per_event =
+          if c.Engine.fired = 0 then 0.0 else minor /. float_of_int c.Engine.fired
+        in
+        let req_per_sim_s =
+          float_of_int r.O.completed /. (float_of_int r.O.virtual_us /. 1e6)
+        in
+        let ev_s = Engine.events_per_sec engine in
+        Printf.printf "    %-6d %9d %10d %9.1f %11.0f %9.1f %11.0f %9.1f %8d\n" nodes
+          requests c.Engine.fired
+          (Engine.wall_seconds engine *. 1e3)
+          ev_s
+          (float_of_int r.O.virtual_us /. 1e6)
+          req_per_sim_s words_per_event r.O.shed;
+        ( (nodes, ev_s),
+          Record.
+            [ ("nodes", Int nodes); ("requests", Int requests); ("offered", Int r.O.offered);
+              ("issued", Int r.O.issued); ("completed", Int r.O.completed);
+              ("failed", Int r.O.failed); ("shed", Int r.O.shed); ("gathers", Int r.O.gathers);
+              ("fired", Int c.Engine.fired); ("virtual_us", Int r.O.virtual_us);
+              ("wall_us", Int (int_of_float (Engine.wall_seconds engine *. 1e6)));
+              ("events_per_sec", Num (0, ev_s));
+              ("heap_highwater", Int (Engine.heap_highwater engine));
+              ("gc_minor_words", Num (0, minor)); ("gc_promoted_words", Num (0, promoted));
+              ("gc_major_words", Num (0, major));
+              ("gc_words_per_event", Num (1, words_per_event));
+              ( "tags",
+                Obj (List.map (fun (t, count) -> (t, Int count)) (Engine.tag_counts engine)) );
+            ] ))
+      rows
+  in
   Printf.printf "\n    completions and scatter-gather:\n";
   List.iter
     (fun (nodes, _, r) ->
@@ -915,64 +817,33 @@ let scale_section () =
         nodes r.O.issued r.O.completed r.O.failed r.O.gathers (Pool.reuses pool)
         (Pool.acquires pool))
     rows;
-  (* machine-readable record, uploaded by CI next to BENCH_pr6.json *)
-  let baseline_pr6_n64 = 432088.0 in
-  let ev_s nodes =
-    List.find_map
-      (fun (n, _, r) ->
-        if n = nodes then Some (Engine.events_per_sec (Network.engine r.O.net)) else None)
-      rows
+  let ev_s = List.map fst records in
+  let ok_measured = List.for_all (fun (_, v) -> v > 0.0) ev_s in
+  let ratio_gate =
+    match List.assoc_opt 8 ev_s, List.assoc_opt 64 ev_s with
+    | Some v8, Some v64 -> Some (v8, v64)
+    | _ -> None
   in
-  let oc = open_out "BENCH_pr7.json" in
-  Printf.fprintf oc "{\n  \"baseline_pr6_n64_events_per_sec\": %.0f,\n" baseline_pr6_n64;
-  (match ev_s 64 with
-   | Some v -> Printf.fprintf oc "  \"n64_speedup_vs_pr6\": %.2f,\n" (v /. baseline_pr6_n64)
-   | None -> ());
-  Printf.fprintf oc "  \"scale\": [\n";
-  List.iteri
-    (fun i (nodes, requests, r) ->
-      let engine = Network.engine r.O.net in
-      let c = Engine.counters engine in
-      let minor, promoted, major = Engine.gc_words engine in
-      Printf.fprintf oc
-        "    { \"nodes\": %d, \"requests\": %d, \"offered\": %d, \"issued\": %d, \
-         \"completed\": %d, \"failed\": %d, \"shed\": %d, \"gathers\": %d, \
-         \"fired\": %d, \"virtual_us\": %d, \"wall_us\": %d, \"events_per_sec\": %.0f, \
-         \"heap_highwater\": %d, \"gc_minor_words\": %.0f, \"gc_promoted_words\": %.0f, \
-         \"gc_major_words\": %.0f, \"gc_words_per_event\": %.1f, \"tags\": { %s } }%s\n"
-        nodes requests r.O.offered r.O.issued r.O.completed r.O.failed r.O.shed
-        r.O.gathers c.Engine.fired r.O.virtual_us
-        (int_of_float (Engine.wall_seconds engine *. 1e6))
-        (Engine.events_per_sec engine)
-        (Engine.heap_highwater engine) minor promoted major
-        (if c.Engine.fired = 0 then 0.0 else minor /. float_of_int c.Engine.fired)
-        (String.concat ", "
-           (List.map
-              (fun (tag, count) -> Printf.sprintf "\"%s\": %d" tag count)
-              (Engine.tag_counts engine)))
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\n    wrote BENCH_pr7.json\n";
-  let ok_measured =
-    List.for_all
-      (fun (_, _, r) -> Engine.events_per_sec (Network.engine r.O.net) > 0.0)
-      rows
-  in
+  Record.write ~section:"SCALE" ~params:[] ~rows:(List.map snd records)
+    ~gates:
+      (("ok_measured", ok_measured)
+      ::
+      (match ratio_gate with
+       | Some (v8, v64) -> [ ("n64_ge_65pct_n8", v64 >= 0.65 *. v8) ]
+       | None -> []));
   if not ok_measured then begin
     Printf.printf "    GATE FAILED: events/sec not measured (wall clock did not advance)\n";
     exit 1
   end;
-  match ev_s 8, ev_s 64 with
-  | Some v8, Some v64 ->
+  match ratio_gate with
+  | Some (v8, v64) ->
     Printf.printf "    gate: N=64 at %.0f%% of N=8 throughput (floor 65%%)\n"
       (100.0 *. v64 /. v8);
     if v64 < 0.65 *. v8 then begin
       Printf.printf "    GATE FAILED: N=64 events/sec %.0f < 65%% of N=8 %.0f\n" v64 v8;
       exit 1
     end
-  | _ -> ()
+  | None -> ()
 
 (* ---- FAULT: a workload under a scripted fault plan ---------------------------------- *)
 
@@ -992,45 +863,6 @@ let fault_section plan () =
     "\n    %.2f ms/PUT, %.2f pkts/PUT, %d retransmissions, %d busy NACKs\n"
     r.W.per_op_ms r.W.packets_per_op r.W.retransmissions r.W.busy_nacks
 
-(* ---- Bechamel wall-clock suite ----------------------------------------------------- *)
-
-let bechamel () =
-  hr "Bechamel wall-clock micro-benchmarks of the harness (one per table)";
-  let open Bechamel in
-  let open Toolkit in
-  let t1_test =
-    Test.make ~name:"T1.put-stream-100w"
-      (Staged.stage (fun () -> ignore (W.stream ~op:W.Put ~words:100 ~n:12 ~warmup:3 ())))
-  in
-  let t2_test =
-    Test.make ~name:"T2.signal-breakdown"
-      (Staged.stage (fun () -> ignore (W.stream ~op:W.Signal ~words:0 ~n:12 ~warmup:3 ())))
-  in
-  let t3_test =
-    Test.make ~name:"T3.blocking-signal"
-      (Staged.stage (fun () -> ignore (W.blocking_signal ~n:10 ~warmup:2 ())))
-  in
-  let tests = [ t1_test; t2_test; t3_test ] in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        (Instance.monotonic_clock :> Measure.witness)
-        raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-          Printf.printf "    %-24s %12.3f ms wall-clock per run\n" name (est /. 1e6)
-        | _ -> Printf.printf "    %-24s (no estimate)\n" name)
-      results
-  in
-  List.iter benchmark tests
-
 (* ---- driver -------------------------------------------------------------------------- *)
 
 let sections =
@@ -1040,11 +872,9 @@ let sections =
     ("A1", a1); ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5); ("A6", a6);
     ("WINDOW", window_section);
     ("INCAST", incast_section);
-    ("PROFILE", profile_section);
     ("SCALE", scale_section);
     ("STORE", store_section);
     ("SCD", scd_section);
-    ("BENCH", bechamel);
   ]
 
 let () =

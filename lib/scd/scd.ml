@@ -4,7 +4,6 @@ module Rng = Soda_sim.Rng
 module Engine = Soda_sim.Engine
 module Kernel = Soda_core.Kernel
 module Sodal = Soda_runtime.Sodal
-module Cost = Soda_base.Cost_model
 module Scd_wire = Soda_proto.Scd_wire
 module Recorder = Soda_obs.Recorder
 module Metrics = Soda_obs.Metrics
@@ -241,20 +240,24 @@ let majority m = (m.n / 2) + 1
    retried with jittered backoff (dropped after [retry_cap] verdicts) and
    never stalls the other peers or the member task.
 
-   [pump] also enforces a global in-flight cap that shrinks with the
-   cluster size: all n members echo every message concurrently, and past
-   roughly 128 in-flight transfers cluster-wide the shared bus's queueing
-   delay exceeds the transport's retransmission budget, so healthy peers
-   start drawing spurious crash verdicts (congestion collapse). *)
+   All n members echo every message concurrently, and past roughly 128
+   in-flight transfers cluster-wide the shared bus's queueing delay
+   exceeds the transport's retransmission budget, so healthy peers start
+   drawing spurious crash verdicts (congestion collapse). One throttle
+   keeps the storm below that cliff, the launch pacer: each [pump] call
+   launches at most one ready head, and a member spaces its launches
+   [launch_gap_us] apart. A transfer ends by its crash verdict at the
+   latest (~420 ms), so a member has at most ceil(105/n) transfers in
+   flight, ~105 cluster-wide. *)
 
 let retry_cap = 25
 let retry_spacing_us = 200_000
 
-(* Aggregate launch pacing: the 1 Mbit/s bus carries roughly 400 full
-   FORWARD transactions per second, and all n members send concurrently,
-   so each member spaces its launches n * 4 ms apart (cluster-wide ~250
-   frames/s, ~70% line utilisation) to keep the bus queue — and with it
-   every transfer's sojourn — under the retransmission crash budget. *)
+(* The 1 Mbit/s bus carries roughly 400 full FORWARD transactions per
+   second, and all n members send concurrently, so each member spaces
+   its launches n * 4 ms apart (cluster-wide ~250 frames/s, ~70% line
+   utilisation) to keep the bus queue — and with it every transfer's
+   sojourn — under the retransmission crash budget. *)
 let launch_gap_us m = m.n * 4_000
 
 let echo m (fwd : Scd_wire.forward) =
@@ -268,53 +271,44 @@ let echo m (fwd : Scd_wire.forward) =
 let pump env m rng =
   let len = Array.length m.chans in
   if len > 0 then begin
-    (* Cluster fair share of the bus: n members each launching at most
-       bus_capacity_pkts/n keeps the aggregate in-flight FORWARDs within
-       what the medium absorbs — the same cap the transport's AIMD layer
-       models (Cost_model.fair_share_window), not a parallel mechanism. *)
-    let cap = Cost.fair_share_window (Kernel.cost (Sodal.kernel env)) ~stations:m.n in
-    let in_flight = ref 0 in
-    Array.iter (fun ch -> if ch.ch_in_flight then incr in_flight) m.chans;
-    let pat = cluster_pattern ~cluster:m.cluster in
-    let slots_full = ref false in
-    let i = ref 0 in
-    while (not !slots_full) && !in_flight < cap && !i < len do
-      let ch = m.chans.((m.pump_cursor + !i) mod len) in
-      incr i;
-      if
-        (not ch.ch_in_flight)
-        && (not (Queue.is_empty ch.ch_q))
-        &&
-        let now = Sodal.now env in
-        now >= ch.ch_ready_at && now >= m.next_launch_at
-      then begin
-        let f = Queue.peek ch.ch_q in
-        match Sodal.put env (Sodal.server ~mid:ch.ch_mid ~pattern:pat) ~arg:0 f.of_frame with
-        | exception Sodal.Too_many_requests -> slots_full := true
-        | tid ->
-          ch.ch_in_flight <- true;
-          incr in_flight;
-          m.next_launch_at <- Sodal.now env + launch_gap_us m;
-          f.of_attempts <- f.of_attempts + 1;
-          Metrics.incr (metrics env) "scd.forwards";
-          if f.of_attempts > 1 then Metrics.incr (metrics env) "scd.retry_frames";
-          Sodal.on_completion_of env tid (fun c ->
-              ch.ch_in_flight <- false;
-              match c.Sodal.status with
-              | Sodal.Comp_ok | Sodal.Comp_rejected ->
-                ignore (Queue.pop ch.ch_q);
-                ch.ch_ready_at <- 0
-              | Sodal.Comp_crashed | Sodal.Comp_unadvertised ->
-                if f.of_attempts >= retry_cap then begin
-                  ignore (Queue.pop ch.ch_q);
-                  Metrics.incr (metrics env) "scd.retry_dropped"
-                end
-                else
-                  ch.ch_ready_at <-
-                    Sodal.now env + retry_spacing_us
-                    + Rng.int rng (retry_spacing_us / 2))
-      end
-    done;
+    let now = Sodal.now env in
+    let ready ch =
+      (not ch.ch_in_flight) && (not (Queue.is_empty ch.ch_q)) && now >= ch.ch_ready_at
+    in
+    let rec first i =
+      if i = len then None
+      else
+        let ch = m.chans.((m.pump_cursor + i) mod len) in
+        if ready ch then Some ch else first (i + 1)
+    in
+    (if now >= m.next_launch_at then
+       match first 0 with
+       | None -> ()
+       | Some ch -> (
+         let f = Queue.peek ch.ch_q in
+         let pat = cluster_pattern ~cluster:m.cluster in
+         match Sodal.put env (Sodal.server ~mid:ch.ch_mid ~pattern:pat) ~arg:0 f.of_frame with
+         | exception Sodal.Too_many_requests -> ()
+         | tid ->
+           ch.ch_in_flight <- true;
+           m.next_launch_at <- Sodal.now env + launch_gap_us m;
+           f.of_attempts <- f.of_attempts + 1;
+           Metrics.incr (metrics env) "scd.forwards";
+           if f.of_attempts > 1 then Metrics.incr (metrics env) "scd.retry_frames";
+           Sodal.on_completion_of env tid (fun c ->
+               ch.ch_in_flight <- false;
+               match c.Sodal.status with
+               | Sodal.Comp_ok | Sodal.Comp_rejected ->
+                 ignore (Queue.pop ch.ch_q);
+                 ch.ch_ready_at <- 0
+               | Sodal.Comp_crashed | Sodal.Comp_unadvertised ->
+                 if f.of_attempts >= retry_cap then begin
+                   ignore (Queue.pop ch.ch_q);
+                   Metrics.incr (metrics env) "scd.retry_dropped"
+                 end
+                 else
+                   ch.ch_ready_at <-
+                     Sodal.now env + retry_spacing_us + Rng.int rng (retry_spacing_us / 2))));
     m.pump_cursor <- (m.pump_cursor + 1) mod len
   end
 
@@ -642,8 +636,6 @@ type t = {
   origin : int;
   mutable oseq : int;
   attempts : int;
-  backoff_base_us : int;
-  backoff_cap_us : int;
   rng : Rng.t;
 }
 
@@ -651,8 +643,11 @@ type error = Unreachable
 
 type ts = int * int * int
 
-let handle ?(attempts = 12) ?(backoff_base_us = 20_000) ?(backoff_cap_us = 500_000) env
-    ~cluster ~mids ~regs =
+(* Failover backoff: capped exponential with jitter. *)
+let backoff_base_us = 20_000
+let backoff_cap_us = 500_000
+
+let handle ?(attempts = 12) env ~cluster ~mids ~regs =
   let n = List.length mids in
   if n = 0 then invalid_arg "Scd.handle: empty cluster";
   let members =
@@ -670,8 +665,6 @@ let handle ?(attempts = 12) ?(backoff_base_us = 20_000) ?(backoff_cap_us = 500_0
     origin = Sodal.my_mid env;
     oseq = 0;
     attempts;
-    backoff_base_us;
-    backoff_cap_us;
     rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env)));
   }
 
@@ -699,7 +692,7 @@ let do_op env t ~kind ~a ~b ~get_size =
       else begin
         Metrics.incr (metrics env) "scd.failovers";
         t.cur <- (t.cur + 1) mod t.n;
-        let d = min t.backoff_cap_us (t.backoff_base_us lsl min (k - 1) 16) in
+        let d = min backoff_cap_us (backoff_base_us lsl min (k - 1) 16) in
         Sodal.compute env (d + Rng.int t.rng (max d 1));
         attempt (k + 1)
       end
@@ -724,7 +717,7 @@ let do_op env t ~kind ~a ~b ~get_size =
              and only fail over to a fresh submit when the ticket is
              really gone (rejected) or the retries run out. *)
           Metrics.incr (metrics env) "scd.recollects";
-          Sodal.compute env (t.backoff_base_us + Rng.int t.rng t.backoff_base_us);
+          Sodal.compute env (backoff_base_us + Rng.int t.rng backoff_base_us);
           collect (j + 1)
         | Sodal.Comp_ok | Sodal.Comp_rejected | Sodal.Comp_crashed
         | Sodal.Comp_unadvertised ->

@@ -18,10 +18,9 @@
     per-peer FIFO channels: each member keeps one outgoing queue per
     peer with at most one frame in flight, so a peer always sees a
     member's clock stamps in order, and a pump paces launches across all
-    channels (bounded cluster-wide in-flight count plus an aggregate
-    launch-rate gap) so the quadratic frame storm never drives the shared
-    bus's queueing delay past the retransmission crash budget. See
-    [docs/BROADCAST.md].
+    channels (one launch per call, [n * 4 ms] apart per member) so the
+    quadratic frame storm never drives the shared bus's queueing delay
+    past the retransmission crash budget. See [docs/BROADCAST.md].
 
     Members expose the two derived objects to clients over a two-phase
     ticket protocol: a PUT of the encoded operation is accepted
@@ -96,8 +95,6 @@ type error = Unreachable  (** every member failed over [attempts] tries *)
     over round-robin on crash. *)
 val handle :
   ?attempts:int ->
-  ?backoff_base_us:int ->
-  ?backoff_cap_us:int ->
   Sodal.env ->
   cluster:string ->
   mids:int list ->

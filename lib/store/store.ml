@@ -158,10 +158,6 @@ type t = {
   (* [Some f]: switchboard-backed; re-resolve replica [i] after it
      answers UNADVERTISED (its incarnation — and unique pattern — changed). *)
   resolve : (int -> Types.server_signature option) option;
-  max_value : int;
-  attempts : int;
-  backoff_base_us : int;
-  backoff_cap_us : int;
   rng : Rng.t;
   (* [answered.(i)]: replica [i] answered the last request sent to it
      with [Comp_ok]. Cleared on launch, set on an OK completion; a round
@@ -200,8 +196,16 @@ let with_op_ctx env f =
 
 let metrics env = Recorder.metrics (recorder env)
 
-let make_handle env ~cluster ~replicas ~resolve ~max_value ~attempts ~backoff_base_us
-    ~backoff_cap_us =
+(* Client constants: the largest value a query reply can carry, the
+   round budget of one operation phase and its capped exponential
+   backoff, and how often [connect] retries a switchboard lookup. *)
+let max_value = 512
+let attempts = 10
+let backoff_base_us = 20_000
+let backoff_cap_us = 500_000
+let resolve_attempts = 20
+
+let make_handle env ~cluster ~replicas ~resolve =
   let n = Array.length replicas in
   if n = 0 then invalid_arg "Store.handle: no replicas";
   {
@@ -210,27 +214,20 @@ let make_handle env ~cluster ~replicas ~resolve ~max_value ~attempts ~backoff_ba
     q = (n / 2) + 1;
     replicas;
     resolve;
-    max_value;
-    attempts;
-    backoff_base_us;
-    backoff_cap_us;
     rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env)));
     answered = Array.make n true;
   }
 
-let handle ?(max_value = 512) ?(attempts = 10) ?(backoff_base_us = 20_000)
-    ?(backoff_cap_us = 500_000) env ~cluster ~mids =
+let handle env ~cluster ~mids =
   let replicas =
     Array.of_list
       (List.mapi
          (fun i mid -> Sodal.server ~mid ~pattern:(replica_pattern ~cluster ~index:i))
          mids)
   in
-  make_handle env ~cluster ~replicas ~resolve:None ~max_value ~attempts ~backoff_base_us
-    ~backoff_cap_us
+  make_handle env ~cluster ~replicas ~resolve:None
 
-let connect ?(max_value = 512) ?(attempts = 10) ?(backoff_base_us = 20_000)
-    ?(backoff_cap_us = 500_000) ?(resolve_attempts = 20) env ~cluster ~n () =
+let connect env ~cluster ~n () =
   let sb = Sodal.discover env Nameserver.switchboard_pattern in
   let lookup i = Nameserver.lookup env sb ~name:(replica_name ~cluster ~index:i) in
   let rec resolve_one i attempt =
@@ -255,9 +252,7 @@ let connect ?(max_value = 512) ?(attempts = 10) ?(backoff_base_us = 20_000)
   | Error e -> Error e
   | Ok replicas ->
     let re_resolve i = match lookup i with Ok s -> Some s | Error _ -> None in
-    Ok
-      (make_handle env ~cluster ~replicas ~resolve:(Some re_resolve) ~max_value ~attempts
-         ~backoff_base_us ~backoff_cap_us)
+    Ok (make_handle env ~cluster ~replicas ~resolve:(Some re_resolve))
 
 (* Issue a non-blocking REQUEST, idling while the kernel is at its
    MAXREQUESTS limit (a slot frees on any completion interrupt). The
@@ -347,7 +342,7 @@ let phase env h ~op ~name ~key ~launch ~decode =
          { op; phase = name; key; acks = List.length acks; quorum = h.q;
            elapsed_us = Sodal.now env - t0 });
     if List.length acks >= h.q then Ok acks
-    else if k >= h.attempts then begin
+    else if k >= attempts then begin
       Metrics.incr m "store.no_quorum";
       Error No_quorum
     end
@@ -363,7 +358,7 @@ let phase env h ~op ~name ~key ~launch ~decode =
              | None -> ())
            unadvertised
        | None -> ());
-      let d = min h.backoff_cap_us (h.backoff_base_us lsl (k - 1)) in
+      let d = min backoff_cap_us (backoff_base_us lsl (k - 1)) in
       Sodal.compute env (d + Rng.int h.rng (max d 1));
       attempt (k + 1)
     end
@@ -372,7 +367,7 @@ let phase env h ~op ~name ~key ~launch ~decode =
 
 (* Phase 1: GET the per-replica (tag, value) for [key] from a majority. *)
 let query_phase env h ~op ~key =
-  let buffers = Array.init h.n (fun _ -> Bytes.create (11 + h.max_value)) in
+  let buffers = Array.init h.n (fun _ -> Bytes.create (11 + max_value)) in
   phase env h ~op ~name:"query" ~key
     ~launch:(fun i -> Sodal.get env h.replicas.(i) ~arg:key ~into:buffers.(i))
     ~decode:(fun i c ->
