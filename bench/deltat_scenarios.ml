@@ -8,7 +8,8 @@ module Pattern = Soda_base.Pattern
 module Network = Soda_core.Network
 module Kernel = Soda_core.Kernel
 module Sodal = Soda_runtime.Sodal
-module Trace = Soda_sim.Trace
+module Recorder = Soda_obs.Recorder
+module Event = Soda_obs.Event
 module Bus = Soda_net.Bus
 module Stats = Soda_sim.Stats
 
@@ -17,10 +18,11 @@ let patt = Pattern.well_known 0o222
 let print_trace ?(keep = fun _ -> true) net =
   List.iter
     (fun e ->
-      if keep e.Trace.message then
-        Printf.printf "    %8.1f ms  %-8s %s\n" (float_of_int e.Trace.time_us /. 1000.0)
-          e.Trace.actor e.Trace.message)
-    (Trace.entries (Network.trace net))
+      let message = Event.message e.Event.kind in
+      if keep message then
+        Printf.printf "    %8.1f ms  %-8s %s\n" (float_of_int e.Event.time_us /. 1000.0)
+          e.Event.actor message)
+    (Recorder.events (Network.recorder net))
 
 let interesting message =
   let has needle =

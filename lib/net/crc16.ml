@@ -17,15 +17,6 @@ let compute bytes ~off ~len =
   done;
   !crc
 
-let append payload =
-  let len = Bytes.length payload in
-  let wire = Bytes.create (len + 2) in
-  Bytes.blit payload 0 wire 0 len;
-  let crc = compute payload ~off:0 ~len in
-  Bytes.set wire len (Char.chr (crc lsr 8));
-  Bytes.set wire (len + 1) (Char.chr (crc land 0xFF));
-  wire
-
 let seal wire ~len =
   if len < 0 || Bytes.length wire < len + 2 then
     invalid_arg "Crc16.seal: buffer too small for payload + trailer";
@@ -44,8 +35,3 @@ let payload_len wire =
     in
     if expected = stored then len else -1
   end
-
-let check wire =
-  match payload_len wire with
-  | -1 -> None
-  | len -> Some (Bytes.sub wire 0 len)

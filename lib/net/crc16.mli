@@ -6,22 +6,13 @@
 (** [compute bytes ~off ~len] returns the 16-bit checksum. *)
 val compute : bytes -> off:int -> len:int -> int
 
-(** [append payload] returns [payload] with its 2-byte big-endian CRC
-    appended. *)
-val append : bytes -> bytes
-
-(** [check wire] verifies a frame produced by [append]; returns the payload
-    without the trailer on success. Allocates a copy — hot paths use
-    {!payload_len} and read the payload in place. *)
-val check : bytes -> bytes option
-
 (** [seal wire ~len] computes the CRC of [wire.[0 .. len-1]] and writes
-    the 2-byte big-endian trailer in place at [len]; the zero-copy
-    equivalent of [append] for pooled buffers of exactly [len + 2] bytes.
+    the 2-byte big-endian trailer in place at [len], for buffers of
+    exactly [len + 2] bytes.
     @raise Invalid_argument when the buffer lacks room for the trailer. *)
 val seal : bytes -> len:int -> unit
 
 (** [payload_len wire] verifies the trailer in place and returns the
-    payload length, or [-1] on CRC mismatch (no option allocation; this
-    runs once per delivered frame). *)
+    payload length, or [-1] on CRC mismatch or a frame shorter than the
+    trailer (no option allocation; this runs once per delivered frame). *)
 val payload_len : bytes -> int

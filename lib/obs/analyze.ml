@@ -258,13 +258,24 @@ let kind_of_fields fields =
       { op = str_f fields "op"; origin = int_f fields "origin";
         oseq = int_f fields "oseq"; ok = bool_f fields "ok";
         elapsed_us = int_f fields "elapsed" }
-  | "note" -> Note (str_f fields "text")
+  | "conn-record" -> Conn_record { peer = int_f fields "peer"; change = str_f fields "change" }
+  | "dup-replay" -> Dup_replay { peer = int_f fields "peer" }
+  | "rx-discard" ->
+    Rx_discard
+      { peer = int_f fields "peer"; seq = int_f fields "seq"; count = int_f fields "count";
+        reason = str_f fields "reason" }
+  | "crash-verdict" ->
+    Crash_verdict
+      { tid = int_f fields "tid"; peer = int_f fields "peer"; cause = str_f fields "cause" }
+  | "node-change" ->
+    Node_change
+      { change = str_f fields "change"; peer = int_f fields "peer";
+        value = int_f fields "value" }
   | s -> raise (Parse_error (Printf.sprintf "unknown event kind %S" s))
 
 let event_of_line line =
   let fields = parse_line line in
   let kind = kind_of_fields fields in
-  let actor = match kind with Event.Note _ -> str_f fields "actor" | _ -> "" in
   let ctx =
     match List.assoc_opt "tr" fields with
     | Some (J_int trace) ->
@@ -279,7 +290,7 @@ let event_of_line line =
         }
     | _ -> None
   in
-  { Event.time_us = int_f fields "t"; mid = int_f fields "mid"; actor; kind; ctx }
+  { Event.time_us = int_f fields "t"; mid = int_f fields "mid"; actor = ""; kind; ctx }
 
 let events_of_string s =
   let lines = String.split_on_char '\n' s in
@@ -328,6 +339,7 @@ type pair_stats = {
   mutable rx_bytes : int;
   mutable retransmits : int;
   mutable busy_nacks : int;
+  mutable crash_verdicts : int;
 }
 
 (* Directional (src -> dst) accounting. Tx is charged at the sender,
@@ -343,7 +355,7 @@ let pair_accounting events =
     | None ->
       let p =
         { p_src = src; p_dst = dst; tx_pkts = 0; tx_bytes = 0; rx_pkts = 0;
-          rx_bytes = 0; retransmits = 0; busy_nacks = 0 }
+          rx_bytes = 0; retransmits = 0; busy_nacks = 0; crash_verdicts = 0 }
       in
       Hashtbl.replace pairs (src, dst) p;
       p
@@ -367,6 +379,9 @@ let pair_accounting events =
            against the requester->server direction the REQUEST travelled. *)
         let p = get peer e.Event.mid in
         p.busy_nacks <- p.busy_nacks + 1
+      | Event.Crash_verdict { peer; _ } ->
+        let p = get e.Event.mid peer in
+        p.crash_verdicts <- p.crash_verdicts + 1
       | _ -> ())
     events;
   Hashtbl.fold (fun _ p acc -> p :: acc) pairs []
@@ -560,13 +575,13 @@ let dot trees =
 (* ---- text report ----------------------------------------------------------- *)
 
 let pp_pairs ppf pairs =
-  Format.fprintf ppf "  %-9s %8s %10s %8s %10s %7s %6s %9s@." "pair" "tx-pkts"
-    "tx-bytes" "rx-pkts" "rx-bytes" "retrans" "busy" "goodput";
+  Format.fprintf ppf "  %-9s %8s %10s %8s %10s %7s %6s %7s %9s@." "pair" "tx-pkts"
+    "tx-bytes" "rx-pkts" "rx-bytes" "retrans" "busy" "crashed" "goodput";
   List.iter
     (fun p ->
-      Format.fprintf ppf "  %3s -> %-3s %7d %10d %8d %10d %7d %6d %8.1f%%@."
+      Format.fprintf ppf "  %3s -> %-3s %7d %10d %8d %10d %7d %6d %7d %8.1f%%@."
         (Event.peer_name p.p_src) (Event.peer_name p.p_dst) p.tx_pkts p.tx_bytes
-        p.rx_pkts p.rx_bytes p.retransmits p.busy_nacks (goodput_pct p))
+        p.rx_pkts p.rx_bytes p.retransmits p.busy_nacks p.crash_verdicts (goodput_pct p))
     pairs
 
 let pp_critical_path ppf tree =

@@ -12,7 +12,8 @@ exception Parse_error of string
 
 (** {1 Parsing} *)
 
-(** [event_of_line line] parses one JSONL line.
+(** [event_of_line line] parses one JSONL line. The exporter writes no
+    actor names, so parsed events carry [actor = ""].
     @raise Parse_error on malformed input or an unknown event kind. *)
 val event_of_line : string -> Event.t
 
@@ -40,12 +41,14 @@ type pair_stats = {
   mutable rx_bytes : int;
   mutable retransmits : int;
   mutable busy_nacks : int;
+  mutable crash_verdicts : int;
 }
 
 (** Directional (src → dst) accounting, sorted by pair. Tx is charged at
     the sender and Rx credited at the receiver, so the ratio is the
     pair's goodput; BUSY nacks count against the direction the nacked
-    REQUEST travelled. *)
+    REQUEST travelled; a CRASHED verdict counts against the deciding
+    node's direction toward the peer it declared crashed. *)
 val pair_accounting : Event.t list -> pair_stats list
 
 (** [rx_bytes / tx_bytes] as a percentage (100 when nothing was sent). *)

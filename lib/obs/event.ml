@@ -92,7 +92,15 @@ type kind =
           ([pending] quadruplets remain buffered). *)
   | Scd_op of { op : string; origin : int; oseq : int; ok : bool; elapsed_us : int }
       (** An SCD client operation (write/snapshot/incr/cread) finished. *)
-  | Note of string  (** Free-form text from the legacy [Trace.record] shim. *)
+  | Conn_record of { peer : int; change : string }
+      (** Delta-t record lifecycle: "created", "expired" or "take-any". *)
+  | Dup_replay of { peer : int }  (** A duplicate answered from its replay record. *)
+  | Rx_discard of { peer : int; seq : int; count : int; reason : string }
+      (** Held packets dropped: "slot-reused", "run-start" or "no-sync". *)
+  | Crash_verdict of { tid : int; peer : int; cause : string }
+      (** The node declared [peer] CRASHED for [tid]; [cause] names the path. *)
+  | Node_change of { change : string; peer : int; value : int }
+      (** Kernel lifecycle, reserved-pattern update or transport reset. *)
 
 type t = {
   time_us : int;
@@ -136,14 +144,38 @@ let kind_label = function
   | Scd_broadcast _ -> "scd-broadcast"
   | Scd_deliver _ -> "scd-deliver"
   | Scd_op _ -> "scd-op"
-  | Note _ -> "note"
+  | Conn_record _ -> "conn-record"
+  | Dup_replay _ -> "dup-replay"
+  | Rx_discard _ -> "rx-discard"
+  | Crash_verdict _ -> "crash-verdict"
+  | Node_change _ -> "node-change"
 
 let peer_name p = if p = broadcast_peer then "*" else string_of_int p
 
 let mids_string mids = String.concat "," (List.map string_of_int mids)
 
-(* Human rendering, used by the timeline exporter and the [Trace.entries]
-   compatibility view. *)
+(* [Node_change] wording, one line per change of the closed set. *)
+let node_message change ~peer ~value =
+  match change with
+  | "booted" -> Printf.sprintf "booted client (image %d bytes) for parent %d" value peer
+  | "no-boot-program" -> "boot signal accepted but no boot program registered"
+  | "kill" -> Printf.sprintf "KILL pattern signalled by %d" peer
+  | "load-pattern" -> Printf.sprintf "boot: parent %d granted load pattern R:%#x" peer value
+  | "load-kill" -> Printf.sprintf "LOAD pattern kill signalled by %d" peer
+  | "boot-kind-added" -> Printf.sprintf "SYSTEM: added boot kind %d" value
+  | "boot-kind-removed" -> Printf.sprintf "SYSTEM: removed boot kind %d" value
+  | "kill-pattern-replaced" -> "SYSTEM: kill pattern replaced"
+  | "system-malformed" -> "SYSTEM: malformed request ignored"
+  | "die" -> "client executed DIE"
+  | "crash-silent" -> "hardware crash: going silent"
+  | "quarantine-over" -> "quarantine over (2*MPL + delta-t); rejoining network"
+  | "crash-torn-down" -> "hardware crash: node torn down"
+  | "reboot-quarantine-over" ->
+    "reboot quarantine over (2*MPL + delta-t); rejoining network"
+  | "reset" -> "kernel state reset"
+  | change -> Printf.sprintf "node %s (peer %d, value %d)" change peer value
+
+(* Human rendering, used by the timeline exporter and the F1 bench. *)
 let message = function
   | Trap { tid; dst; pattern; put_size; get_size } ->
     Printf.sprintf "trap REQUEST #%d to %s pattern=%06o put=%dB get=%dB" tid
@@ -211,17 +243,29 @@ let message = function
     Printf.sprintf "scd %s op#%d.%d %s in %d us" op origin oseq
       (if ok then "ok" else "FAILED")
       elapsed_us
-  | Note text -> text
+  | Conn_record { peer; change = "take-any" } ->
+    Printf.sprintf "taking any SN from peer %d (no record)" peer
+  | Conn_record { peer; change = "expired" } ->
+    Printf.sprintf "delta-t record for peer %d expired (take any SN)" peer
+  | Conn_record { peer; change } -> Printf.sprintf "delta-t record %s for peer %d" change peer
+  | Dup_replay { peer } -> Printf.sprintf "duplicate from peer %d; replaying response" peer
+  | Rx_discard { peer; seq; count; reason } ->
+    Printf.sprintf "discard %d held packet(s) at sn=%d from peer %d: %s" count seq peer reason
+  | Crash_verdict { tid; peer; cause } ->
+    Printf.sprintf "verdict on #%d: peer %d CRASHED (%s)" tid peer cause
+  | Node_change { change; peer; value } -> node_message change ~peer ~value
 
 (* tid carried by an event, if any (for span grouping). *)
 let tid = function
   | Trap { tid; _ } | Enqueue { tid; _ } | Tx { tid; _ } | Rx { tid; _ }
   | Acked { tid; _ } | Busy_nack { tid; _ } | Retransmit { tid; _ } | Probe { tid; _ }
-  | Deliver { tid; _ } | Complete { tid; _ } | Window_buffer { tid; _ } ->
+  | Deliver { tid; _ } | Complete { tid; _ } | Window_buffer { tid; _ }
+  | Crash_verdict { tid; _ } ->
     if tid = no_tid then None else Some tid
   | Window_advance _ | Cwnd_change _ | Rtt_sample _ -> None
-  | Handler_invoke | Endhandler | Bus_frame _ | Bus_drop _ | Note _ | Fault_partition _
+  | Handler_invoke | Endhandler | Bus_frame _ | Bus_drop _ | Fault_partition _
   | Fault_heal | Fault_crash _ | Fault_reboot _ | Fault_duplicate _ | Fault_jitter _
   | Fault_loss_burst _ | Store_phase _ | Store_retry _ | Store_complete _
-  | Scd_broadcast _ | Scd_deliver _ | Scd_op _ ->
+  | Scd_broadcast _ | Scd_deliver _ | Scd_op _ | Conn_record _ | Dup_replay _
+  | Rx_discard _ | Node_change _ ->
     None

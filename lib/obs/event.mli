@@ -2,11 +2,13 @@
 
     One constructor per protocol-visible moment of a request's life (trap,
     enqueue, tx, rx, ack, busy-nack, retransmit, probe, deliver,
-    handler-invoke, endhandler, complete), plus bus-level frame events and
-    a [Note] carrying legacy free-form trace text. Every packet-shaped
-    event records the transaction id, peer, packet kind, byte count and
-    sequence bit, so phase breakdowns are derived from data instead of
-    grepped out of format strings. *)
+    handler-invoke, endhandler, complete), plus Delta-t record, crash
+    verdict and node lifecycle events, bus-level frame events, injected
+    faults and store/SCD operations. Every packet-shaped event records the
+    transaction id, peer, packet kind, byte count and sequence bit, so
+    phase breakdowns are derived from data instead of grepped out of
+    format strings. String fields ([reason], [change], [cause], ...) take
+    values from the closed sets documented on each constructor. *)
 
 type pkt =
   | P_request
@@ -88,7 +90,39 @@ type kind =
           ([pending] quadruplets remain buffered). *)
   | Scd_op of { op : string; origin : int; oseq : int; ok : bool; elapsed_us : int }
       (** An SCD client operation (write/snapshot/incr/cread) finished. *)
-  | Note of string
+  | Conn_record of { peer : int; change : string }
+      (** Delta-t connection record for [peer]: [change] is ["created"],
+          ["expired"] (MPL + delta-t of silence) or ["take-any"] (the
+          first packet with no receive state is accepted at any SN). *)
+  | Dup_replay of { peer : int }
+      (** A duplicate from [peer] was answered from its replay record. *)
+  | Rx_discard of { peer : int; seq : int; count : int; reason : string }
+      (** Held packets from [peer] discarded: [reason] is
+          ["slot-reused"] (a stale hold at [seq] replaced by a new
+          message), ["run-start"] ([count] stale holds flushed when a run
+          restarts at [seq]) or ["no-sync"] (no record and not a run
+          start: the body at [seq] waits for the flagged retransmission). *)
+  | Crash_verdict of { tid : int; peer : int; cause : string }
+      (** The node declared [peer] CRASHED for transaction [tid]; one per
+          CRASHED decision, emitted before its completion. [cause] names
+          the deciding path. Requester side: ["probe-silent"],
+          ["server-lost"] (a probe answered alive=false),
+          ["request-timeout"] (REQUEST retransmissions exhausted),
+          ["error-reply"], ["cancel-timeout"], ["data-resend-failed"].
+          Server side: ["data-timeout"] (put data never arrived),
+          ["accept-timeout"], ["error-reply"]. *)
+  | Node_change of { change : string; peer : int; value : int }
+      (** Kernel lifecycle, reserved-pattern update or transport reset.
+          [peer] is the other node involved (-1 if none), [value] a
+          change-specific number (0 if none). [change] is one of
+          ["booted"] (value: image bytes), ["no-boot-program"], ["kill"],
+          ["load-pattern"] (value: the granted LOAD pattern's name),
+          ["load-kill"], ["boot-kind-added"], ["boot-kind-removed"]
+          (value: the kind), ["kill-pattern-replaced"],
+          ["system-malformed"], ["die"], ["crash-silent"],
+          ["quarantine-over"], ["crash-torn-down"],
+          ["reboot-quarantine-over"] and ["reset"] (transport state
+          cleared). *)
 
 type t = {
   time_us : int;
@@ -108,8 +142,8 @@ val peer_name : int -> string
 (** Comma-joined mid list ("0,1,2"), used when rendering partition groups. *)
 val mids_string : int list -> string
 
-(** Human one-line rendering, used by the timeline exporter and the legacy
-    [Trace.entries] view. *)
+(** Human one-line rendering, used by the timeline exporter and the F1
+    Delta-t timelines. *)
 val message : kind -> string
 
 (** Transaction id carried by the event, if any. *)

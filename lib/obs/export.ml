@@ -1,7 +1,6 @@
 (* Exporters for the recorded event stream.
 
-   - [pp_timeline]: the human-readable "%8d us  actor  message" rendering
-     the old string trace printed;
+   - [pp_timeline]: the human-readable "%8d us  actor  message" rendering;
    - JSONL: one JSON object per event, for machine diffing (golden tests)
      and ad-hoc jq analysis;
    - Chrome trace_event JSON: loads in about://tracing or Perfetto with
@@ -129,7 +128,15 @@ let event_fields (e : Event.t) : json_field list =
     | Scd_op { op; origin; oseq; ok; elapsed_us } ->
       [ ("op", `Str op); ("origin", `Int origin); ("oseq", `Int oseq); ("ok", `Bool ok);
         ("elapsed", `Int elapsed_us) ]
-    | Note text -> [ ("actor", `Str e.actor); ("text", `Str text) ]
+    | Conn_record { peer; change } -> [ ("peer", `Int peer); ("change", `Str change) ]
+    | Dup_replay { peer } -> [ ("peer", `Int peer) ]
+    | Rx_discard { peer; seq; count; reason } ->
+      [ ("peer", `Int peer); ("seq", `Int seq); ("count", `Int count);
+        ("reason", `Str reason) ]
+    | Crash_verdict { tid; peer; cause } ->
+      [ ("tid", `Int tid); ("peer", `Int peer); ("cause", `Str cause) ]
+    | Node_change { change; peer; value } ->
+      [ ("change", `Str change); ("peer", `Int peer); ("value", `Int value) ]
   in
   (* Causal identity trails the event's own fields; absent when the
      recorder minted no contexts, so pre-causal traces (and the golden
@@ -292,7 +299,7 @@ let chrome_to_buffer b events =
           [ ("name", `Str (Printf.sprintf "%d->%s %dB" src (peer_name dst) bytes));
             ("cat", `Str "bus"); ("ph", `Str "X"); ("pid", `Int bus_pid);
             ("tid", `Int 0); ("ts", `Int start_us); ("dur", `Int (end_us - start_us)) ]
-      | Trap _ | Handler_invoke | Endhandler | Complete _
+      | Trap _ | Handler_invoke | Endhandler | Complete _ | Node_change _
       | Store_phase _ | Store_retry _ | Store_complete _
       | Scd_broadcast _ | Scd_deliver _ | Scd_op _ ->
         emit
@@ -301,7 +308,7 @@ let chrome_to_buffer b events =
             ("s", `Str "t") ]
       | Tx _ | Rx _ | Acked _ | Busy_nack _ | Retransmit _ | Probe _ | Deliver _
       | Enqueue _ | Bus_drop _ | Window_advance _ | Window_buffer _ | Cwnd_change _
-      | Rtt_sample _ ->
+      | Rtt_sample _ | Conn_record _ | Dup_replay _ | Rx_discard _ | Crash_verdict _ ->
         emit
           [ ("name", `Str (message e.kind)); ("cat", `Str (kind_label e.kind));
             ("ph", `Str "i"); ("pid", `Int e.mid); ("tid", `Int track_packets);
@@ -313,12 +320,7 @@ let chrome_to_buffer b events =
         emit
           [ ("name", `Str (message e.kind)); ("cat", `Str "fault"); ("ph", `Str "i");
             ("pid", `Int bus_pid); ("tid", `Int 0); ("ts", `Int e.time_us);
-            ("s", `Str "g") ]
-      | Note _ ->
-        emit
-          [ ("name", `Str (message e.kind)); ("cat", `Str "note"); ("ph", `Str "i");
-            ("pid", `Int (max e.mid 0)); ("tid", `Int track_client);
-            ("ts", `Int e.time_us); ("s", `Str "t") ])
+            ("s", `Str "g") ])
     events;
   Buffer.add_string b "\n]}\n"
 

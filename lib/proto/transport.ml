@@ -1,7 +1,6 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
 module Stats = Soda_sim.Stats
-module Trace = Soda_sim.Trace
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Causal = Soda_obs.Causal
@@ -199,7 +198,7 @@ type t = {
   bus : Bus.t;
   mid : int;
   cost : Cost.t;
-  trace : Trace.t;  (* the network's shared structured-event recorder *)
+  recorder : Recorder.t;  (* the network's shared structured-event recorder *)
   actor_name : string;
   stats : Stats.t;
   rng : Rng.t;
@@ -249,11 +248,9 @@ let callbacks t =
   | Some cb -> cb
   | None -> failwith "Transport: callbacks not set"
 
-let actor t = t.actor_name
-
 (* Structured-event emission: one branch when tracing is off; the payload
    is only built under the guard, so a quiet run allocates nothing. *)
-let tracing t = Recorder.tracing t.trace
+let tracing t = Recorder.tracing t.recorder
 
 (* Every event that names a tid is stamped with that transaction's causal
    context (when one is registered): the whole transport instruments
@@ -264,7 +261,7 @@ let event t kind =
     | Some tid -> Hashtbl.find_opt t.tid_causal tid
     | None -> None
   in
-  Recorder.emit t.trace ?ctx ~time_us:(Engine.now t.engine) ~mid:t.mid
+  Recorder.emit t.recorder ?ctx ~time_us:(Engine.now t.engine) ~mid:t.mid
     ~actor:t.actor_name kind
 
 (* Causal registration: the kernel calls [register_causal] at trap time
@@ -341,8 +338,7 @@ and expiry_fired t conn =
       Some (defer t ~delay:(conn.expiry_deadline - now) (fun () -> expiry_fired t conn))
   else if conn_active conn then arm_expiry t conn
   else begin
-    Trace.record t.trace ~now ~actor:(actor t)
-      "delta-t record for peer %d expired (take any SN)" conn.peer;
+    if tracing t then event t (Event.Conn_record { peer = conn.peer; change = "expired" });
     Stats.incr t.stats "deltat.records_expired";
     Hashtbl.remove t.conns conn.peer
   end
@@ -376,8 +372,7 @@ let conn_for t peer =
       }
     in
     Hashtbl.replace t.conns peer c;
-    Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-      "delta-t record created for peer %d" peer;
+    if tracing t then event t (Event.Conn_record { peer; change = "created" });
     Stats.incr t.stats "deltat.records_created";
     arm_expiry t c;
     c
@@ -525,8 +520,7 @@ let owe_ack ?(extra_grace = 0) t conn seq =
 
 let replay_response t conn cr =
   Stats.incr t.stats "pkt.duplicates";
-  Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-    "duplicate from peer %d; replaying response" conn.peer;
+  if tracing t then event t (Event.Dup_replay { peer = conn.peer });
   if conn.ack_owed <> None then begin
     (* Our ack is still within its grace window; quell the retransmission
        with an immediate standalone ack. *)
@@ -951,7 +945,7 @@ let send_reliable t ~peer ~kind ~tid body ~on_done =
 
 (* ---- creation ----------------------------------------------------------- *)
 
-let create ~engine ~bus ~mid ~cost ~trace =
+let create ~engine ~bus ~mid ~cost ~recorder =
   (* One medium, one window: receive-side classification derives its
      sequence arithmetic from the LOCAL window, which is only sound if
      every station agrees. *)
@@ -981,7 +975,7 @@ let create ~engine ~bus ~mid ~cost ~trace =
       bus;
       mid;
       cost;
-      trace;
+      recorder;
       actor_name = Printf.sprintf "soda-%d" mid;
       stats;
       rng = Rng.split (Engine.rng engine);
@@ -1039,6 +1033,17 @@ let complete_out_req t req completion =
     forget_causal t ~tid:req.or_tid
   end
 
+(* Every CRASHED decision names the path that took it ([Event.Crash_verdict]),
+   once: a request or accept that is already done emits nothing. *)
+let crash_verdict t ~tid ~peer cause =
+  if tracing t then event t (Event.Crash_verdict { tid; peer; cause })
+
+let crash_out_req t req cause =
+  if req.or_state <> Rq_done then begin
+    crash_verdict t ~tid:req.or_tid ~peer:req.or_dst cause;
+    complete_out_req t req Comp_crashed
+  end
+
 let rec arm_probe t req =
   req.or_probe_timer <-
     Some
@@ -1049,12 +1054,8 @@ let rec arm_probe t req =
                req.or_probe_misses <- req.or_probe_misses + 1;
                Stats.incr t.stats "probe.misses"
              end;
-             if req.or_probe_misses >= t.cost.Cost.probe_miss_limit then begin
-               Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-                 "probe: server %d silent for request #%d; reporting CRASHED" req.or_dst
-                 req.or_tid;
-               complete_out_req t req Comp_crashed
-             end
+             if req.or_probe_misses >= t.cost.Cost.probe_miss_limit then
+               crash_out_req t req "probe-silent"
              else begin
                req.or_probe_outstanding <- true;
                Stats.incr t.stats "probe.sent";
@@ -1098,7 +1099,7 @@ and send_remote_cancel t req k =
       | Out_timeout ->
         (* Server dead: the request itself fails CRASHED; cancel fails
            because the request "completed" first. *)
-        complete_out_req t req Comp_crashed;
+        crash_out_req t req "cancel-timeout";
         k false)
 
 (* ---- requester: submitting --------------------------------------------- *)
@@ -1136,8 +1137,8 @@ let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
       match outcome with
       | Out_acked -> mark_delivered t req
       | Out_error Wire.Err_unadvertised -> complete_out_req t req Comp_unadvertised
-      | Out_error _ -> complete_out_req t req Comp_crashed
-      | Out_timeout -> complete_out_req t req Comp_crashed
+      | Out_error _ -> crash_out_req t req "error-reply"
+      | Out_timeout -> crash_out_req t req "request-timeout"
       | Out_cancel_reply _ -> ())
 
 let submit_discover t ~tid ~pattern ~max_mids =
@@ -1168,6 +1169,12 @@ let finish_accept t txn ctx outcome =
     txn.st_state <- Srv_completed;
     srv_gc t txn;
     ctx.ac_on_done outcome
+  end
+
+let crash_accept t txn ctx ~tid ~peer cause =
+  if not ctx.ac_done then begin
+    crash_verdict t ~tid ~peer cause;
+    finish_accept t txn ctx Acc_crashed
   end
 
 let accept_check_done t txn ctx =
@@ -1222,10 +1229,8 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
                ctx.ac_data_timer <- None;
                if (not ctx.ac_done) && ctx.ac_need_data then begin
                  Stats.incr t.stats "accept.data_timeouts";
-                 Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-                   "accept of tid %d: put data never arrived; declaring peer %d crashed"
-                   requester_tid requester_mid;
-                 finish_accept t txn ctx Acc_crashed
+                 crash_accept t txn ctx ~tid:requester_tid ~peer:requester_mid
+                   "data-timeout"
                end));
     let body =
       Wire.Accept
@@ -1240,7 +1245,11 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
                  ctx.ac_awaiting_ack <- false;
                  accept_check_done t txn ctx
                | Out_error Wire.Err_cancelled -> finish_accept t txn ctx Acc_cancelled
-               | Out_error _ | Out_timeout -> finish_accept t txn ctx Acc_crashed
+               | Out_error _ ->
+                 crash_accept t txn ctx ~tid:requester_tid ~peer:requester_mid "error-reply"
+               | Out_timeout ->
+                 crash_accept t txn ctx ~tid:requester_tid ~peer:requester_mid
+                   "accept-timeout"
                | Out_cancel_reply _ -> ());
            accept_check_done t txn ctx))
   | None ->
@@ -1256,9 +1265,13 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
       ~on_done:(fun outcome ->
         match outcome with
         | Out_acked -> on_done Acc_cancelled
-        | Out_error Wire.Err_crashed -> on_done Acc_crashed
+        | Out_error Wire.Err_crashed ->
+          crash_verdict t ~tid:requester_tid ~peer:requester_mid "error-reply";
+          on_done Acc_crashed
         | Out_error _ -> on_done Acc_cancelled
-        | Out_timeout -> on_done Acc_crashed
+        | Out_timeout ->
+          crash_verdict t ~tid:requester_tid ~peer:requester_mid "accept-timeout";
+          on_done Acc_crashed
         | Out_cancel_reply _ -> ())
 
 (* ---- cancel -------------------------------------------------------------- *)
@@ -1333,9 +1346,8 @@ let rec take n = function [] -> [] | x :: rest -> if n <= 0 then [] else x :: ta
    reused old slots — everything remembered about the previous numbering
    is void. *)
 let consume t conn ~key ~resync seq =
-  if conn.recv_base = None then
-    Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-      "taking any SN from peer %d (no record)" conn.peer;
+  if conn.recv_base = None && tracing t then
+    event t (Event.Conn_record { peer = conn.peer; change = "take-any" });
   if resync then begin
     conn.recv_buf <- [];
     conn.consumed <- []
@@ -1345,6 +1357,10 @@ let consume t conn ~key ~resync seq =
   conn.consumed <-
     (seq, cr) :: take (max_consumed t - 1) (List.remove_assoc seq conn.consumed);
   cr
+
+let rx_discard t conn pkt ~count reason =
+  if tracing t then
+    event t (Event.Rx_discard { peer = conn.peer; seq = pkt.Wire.seq; count; reason })
 
 (* Park a packet in the receive window. A slot already held by the SAME
    message keeps its original copy (retries are dataless); a different
@@ -1363,9 +1379,7 @@ let stash t conn pkt =
     let stale, live = List.partition (fun p -> p.Wire.seq = pkt.Wire.seq) conn.recv_buf in
     if stale <> [] then begin
       Stats.incr t.stats "pkt.window_stale_replaced";
-      Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-        "slot %d from peer %d reused by a new message; stale hold replaced" pkt.Wire.seq
-        conn.peer
+      rx_discard t conn pkt ~count:(List.length stale) "slot-reused"
     end;
     let base = match conn.recv_base with Some b -> b | None -> pkt.Wire.seq in
     let d p = dist t base p.Wire.seq in
@@ -1400,9 +1414,7 @@ let flush_run_stale t conn ~key pkt =
     if stale <> [] then begin
       conn.recv_buf <- keep;
       Stats.incr t.stats "pkt.window_stale_flushed";
-      Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-        "run start from peer %d: flushed %d stale held packet(s)" conn.peer
-        (List.length stale)
+      rx_discard t conn pkt ~count:(List.length stale) "run-start"
     end
   end
 
@@ -1499,7 +1511,7 @@ let handle_accept_body t conn cr src (a : Wire.body) =
                match outcome with
                | Out_acked ->
                  complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
-               | Out_error _ | Out_timeout -> complete_out_req t req Comp_crashed
+               | Out_error _ | Out_timeout -> crash_out_req t req "data-resend-failed"
                | Out_cancel_reply _ -> ())
          end
          else if copy_us = 0 then
@@ -1574,11 +1586,7 @@ let handle_probe_reply t tid alive =
   | Some req when req.or_state = Rq_delivered ->
     req.or_probe_outstanding <- false;
     req.or_probe_misses <- 0;
-    if not alive then begin
-      Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-        "probe reply: server lost request #%d (crash+reboot); CRASHED" tid;
-      complete_out_req t req Comp_crashed
-    end
+    if not alive then crash_out_req t req "server-lost"
   | Some _ | None -> ()
 
 let handle_discover t src tid pattern =
@@ -1819,7 +1827,7 @@ let process_packet t ?ctx ~bytes pkt =
    | Some parent ->
      let tid = tid_of_body pkt.Wire.body in
      if tid <> Event.no_tid && not (Hashtbl.mem t.tid_causal tid) then (
-       match Recorder.mint_child t.trace parent with
+       match Recorder.mint_child t.recorder parent with
        | Some child -> register_causal t ~tid child
        | None -> ())
    | None -> ());
@@ -1871,8 +1879,7 @@ let process_packet t ?ctx ~bytes pkt =
     (* No record and not a run start: the piggybacked ack above was still
        honoured, but the body waits for the flagged retransmission. *)
     Stats.incr t.stats "pkt.no_sync_dropped";
-    Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
-      "no record for peer %d; awaiting run start" conn.peer
+    rx_discard t conn pkt ~count:1 "no-sync"
   | Wire.Request _, Some Out_of_order -> stash t conn pkt
   | Wire.Request _, Some (In_order | Resync) ->
     (match conn.recv_buf with
@@ -1954,7 +1961,7 @@ let reset t =
   Hashtbl.reset t.srv_txns;
   Hashtbl.reset t.tid_causal;
   t.buffered <- None;
-  Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t) "kernel state reset"
+  if tracing t then event t (Event.Node_change { change = "reset"; peer = -1; value = 0 })
 
 let shutdown t =
   reset t;

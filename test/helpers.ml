@@ -114,7 +114,10 @@ module Ref_bus = struct
     |> List.iter (fun (mid, rx) -> deliver_to mid rx)
 
   let send t ~src ~broadcast ~dst payload =
-    let wire = Soda_net.Crc16.append payload in
+    let len = Bytes.length payload in
+    let wire = Bytes.create (len + 2) in
+    Bytes.blit payload 0 wire 0 len;
+    Soda_net.Crc16.seal wire ~len;
     let frame = { src; broadcast; dst; wire } in
     let now = Engine.now t.engine in
     let start = max now t.busy_until in

@@ -24,6 +24,8 @@ module Nameserver = Soda_facilities.Nameserver
 module Stream = Soda_facilities.Stream
 module Multicast = Soda_facilities.Multicast
 module Bidding = Soda_facilities.Bidding
+module Event = Soda_obs.Event
+module Recorder = Soda_obs.Recorder
 
 let patt = Pattern.well_known 0o555
 
@@ -494,10 +496,12 @@ let test_window_duplicate_storm () =
    congestion regime the AIMD layer exists for: aggregate in-flight
    demand far exceeds what the shared medium absorbs, so queueing delay
    inflates roughly [clients]-fold and a static retransmission schedule
-   fires spuriously on packets that are merely queued. *)
-let run_incast ~seed ~clients ~ops ~window plan =
+   fires spuriously on packets that are merely queued. Each client keeps
+   up to [depth] (default [window]) signals in flight. *)
+let run_incast ?trace ?depth ~seed ~clients ~ops ~window plan =
+  let depth = Option.value depth ~default:window in
   let cost = { Cost.default with Cost.window; maxrequests = window + 1 } in
-  let net, kernels = make_net ~seed ~cost (clients + 1) in
+  let net, kernels = make_net ?trace ~seed ~cost (clients + 1) in
   ignore
     (Sodal.attach (List.nth kernels 0)
        {
@@ -522,7 +526,7 @@ let run_incast ~seed ~clients ~ops ~window plan =
                    let sv = Sodal.server ~mid:0 ~pattern:patt in
                    let in_flight = ref 0 in
                    for i = 1 to ops do
-                     while !in_flight >= window do
+                     while !in_flight >= depth do
                        Sodal.idle env
                      done;
                      let tid = Sodal.signal env sv ~arg:i in
@@ -541,7 +545,7 @@ let run_incast ~seed ~clients ~ops ~window plan =
     kernels;
   Injector.install net plan;
   ignore (Network.run ~until:600_000_000 net);
-  (statuses, !finished_at)
+  (statuses, !finished_at, net)
 
 (* 16 clients -> 1 server through a mid-transfer loss burst: the batch
    must converge with every op COMPLETED (no false CRASHED verdict — a
@@ -560,8 +564,8 @@ let test_incast_converges_under_loss_burst () =
   let all_ok statuses =
     Hashtbl.fold (fun _ st ok -> ok && st = Sodal.Comp_ok) statuses true
   in
-  let statuses_clean, t_clean = run_incast ~seed:64 ~clients ~ops ~window [] in
-  let statuses_lossy, t_lossy = run_incast ~seed:64 ~clients ~ops ~window plan in
+  let statuses_clean, t_clean, _ = run_incast ~seed:64 ~clients ~ops ~window [] in
+  let statuses_lossy, t_lossy, _ = run_incast ~seed:64 ~clients ~ops ~window plan in
   Alcotest.(check int) "all ops completed (loss-free)" (clients * ops)
     (Hashtbl.length statuses_clean);
   Alcotest.(check int) "all ops completed (loss burst)" (clients * ops)
@@ -576,13 +580,48 @@ let test_incast_converges_under_loss_burst () =
     true
     (t_lossy <= 2 * t_clean)
 
+(* INCAST's 64-client adaptive row (W=64 + AIMD, 8 signals in flight per
+   client, 32 per client), traced. Whatever share of its ops end CRASHED
+   against the live server, each such completion must name the code path
+   that decided it: exactly one Crash_verdict for the same tid on the
+   same node. *)
+let test_incast_crash_verdicts_named () =
+  let statuses, _, net =
+    run_incast ~trace:true ~depth:8 ~seed:73 ~clients:64 ~ops:32 ~window:64 []
+  in
+  let events = Recorder.events (Network.recorder net) in
+  let verdicts = Hashtbl.create 256 and crashed = ref [] in
+  List.iter
+    (fun e ->
+      match e.Event.kind with
+      | Event.Crash_verdict { tid; _ } ->
+        let key = (e.Event.mid, tid) in
+        let n = Option.value (Hashtbl.find_opt verdicts key) ~default:0 in
+        Hashtbl.replace verdicts key (n + 1)
+      | Event.Complete { tid; status = "crashed" } ->
+        crashed := (e.Event.mid, tid) :: !crashed
+      | _ -> ())
+    events;
+  let client_crashed =
+    Hashtbl.fold (fun _ st n -> if st = Sodal.Comp_crashed then n + 1 else n) statuses 0
+  in
+  Alcotest.(check int) "every CRASHED op has its completion event" client_crashed
+    (List.length !crashed);
+  List.iter
+    (fun (mid, tid) ->
+      match Hashtbl.find_opt verdicts (mid, tid) with
+      | Some 1 -> ()
+      | n ->
+        Alcotest.failf "tid %d on node %d: %d crash verdicts, expected 1" tid mid
+          (Option.value n ~default:0))
+    !crashed
+
 (* ---- Karn's rule (scripted peer) --------------------------------------------- *)
 
 module Transport = Soda_proto.Transport
 module Wire = Soda_proto.Wire
 module Nic = Soda_net.Nic
 module Engine = Soda_sim.Engine
-module Trace = Soda_sim.Trace
 
 (* A scripted peer controls exactly which transmission of a REQUEST gets
    acknowledged. [ack_first = false] swallows the first copy and acks
@@ -591,10 +630,10 @@ module Trace = Soda_sim.Trace
    stay empty. The [ack_first = true] control run must sample. *)
 let run_karn ~ack_first =
   let engine = Engine.create ~seed:17 () in
-  let trace = Trace.create ~enabled:false () in
+  let recorder = Recorder.create () in
   let bus = Bus.create engine in
   let cost = { Cost.default with Cost.window = 4; maxrequests = 5 } in
-  let sender = Transport.create ~engine ~bus ~mid:0 ~cost ~trace in
+  let sender = Transport.create ~engine ~bus ~mid:0 ~cost ~recorder in
   Transport.set_callbacks sender
     {
       Transport.deliver_request =
@@ -924,6 +963,8 @@ let suites =
           test_window_duplicate_storm;
         Alcotest.test_case "incast: 16 clients converge under loss burst" `Quick
           test_incast_converges_under_loss_burst;
+        Alcotest.test_case "incast: every CRASHED op names its verdict" `Quick
+          test_incast_crash_verdicts_named;
         Alcotest.test_case "karn: retransmitted packet never samples RTT" `Quick
           test_karn_retransmit_never_samples;
         Alcotest.test_case "karn: clean ack samples RTT" `Quick

@@ -13,36 +13,44 @@ let test_crc_known_vector () =
   let data = b "123456789" in
   Alcotest.(check int) "check value" 0x29B1 (Crc16.compute data ~off:0 ~len:9)
 
+(* A frame as the NIC sends it: [payload] plus its sealed trailer. *)
+let sealed payload =
+  let len = Bytes.length payload in
+  let wire = Bytes.create (len + 2) in
+  Bytes.blit payload 0 wire 0 len;
+  Crc16.seal wire ~len;
+  wire
+
+(* The verified payload, as the receiving NIC reads it. *)
+let verified wire =
+  match Crc16.payload_len wire with -1 -> None | len -> Some (Bytes.sub_string wire 0 len)
+
 let test_crc_roundtrip () =
-  let payload = b "hello, megalink" in
-  match Crc16.check (Crc16.append payload) with
-  | Some p -> Alcotest.(check string) "payload preserved" "hello, megalink" (Bytes.to_string p)
+  match verified (sealed (b "hello, megalink")) with
+  | Some p -> Alcotest.(check string) "payload preserved" "hello, megalink" p
   | None -> Alcotest.fail "valid CRC rejected"
 
 let test_crc_detects_corruption () =
-  let wire = Crc16.append (b "data") in
+  let wire = sealed (b "data") in
   Bytes.set wire 1 'X';
-  Alcotest.(check bool) "corruption detected" true (Crc16.check wire = None)
+  Alcotest.(check bool) "corruption detected" true (verified wire = None)
 
 let test_crc_short_frame () =
-  Alcotest.(check bool) "tiny frame rejected" true (Crc16.check (b "x") = None)
+  Alcotest.(check bool) "tiny frame rejected" true (verified (b "x") = None)
 
 let prop_crc_roundtrip =
   QCheck.Test.make ~name:"crc roundtrips arbitrary payloads" ~count:300 QCheck.string
-    (fun s ->
-      match Crc16.check (Crc16.append (Bytes.of_string s)) with
-      | Some p -> Bytes.to_string p = s
-      | None -> false)
+    (fun s -> verified (sealed (Bytes.of_string s)) = Some s)
 
 let prop_crc_detects_single_flip =
   QCheck.Test.make ~name:"crc detects any single-byte flip" ~count:300
     QCheck.(pair (string_of_size Gen.(1 -- 64)) (pair small_int small_int))
     (fun (s, (pos, flip)) ->
-      let wire = Crc16.append (Bytes.of_string s) in
+      let wire = sealed (Bytes.of_string s) in
       let pos = pos mod Bytes.length wire in
       let flip = 1 + (flip mod 255) in
       Bytes.set wire pos (Char.chr (Char.code (Bytes.get wire pos) lxor flip));
-      Crc16.check wire = None)
+      verified wire = None)
 
 (* ---- bus / nic -------------------------------------------------------------- *)
 

@@ -5,7 +5,8 @@
 open Helpers
 module Stats = Soda_sim.Stats
 module Bus = Soda_net.Bus
-module Trace = Soda_sim.Trace
+module Event = Soda_obs.Event
+module Recorder = Soda_obs.Recorder
 
 let patt = Pattern.well_known 0o711
 
@@ -306,7 +307,6 @@ let test_stale_accept_after_requester_death () =
 
 let test_deltat_record_expiry () =
   let net, kernels = make_net ~trace:true 2 in
-  Trace.set_enabled (Network.trace net) true;
   attach_echo (List.nth kernels 0);
   ignore
     (Sodal.attach (List.nth kernels 1)
@@ -323,10 +323,17 @@ let test_deltat_record_expiry () =
              Alcotest.(check bool) "works after expiry" true (c.Sodal.status = Sodal.Comp_ok));
        });
   run ~horizon:600.0 net;
-  let expiries = Trace.find (Network.trace net) ~substring:"expired" in
-  Alcotest.(check bool) "records expired during silence" true (List.length expiries > 0);
-  let take_any = Trace.find (Network.trace net) ~substring:"taking any SN" in
-  Alcotest.(check bool) "take-any on recontact" true (List.length take_any > 0)
+  let changes =
+    List.filter_map
+      (fun e ->
+        match e.Event.kind with
+        | Event.Conn_record { change; _ } -> Some change
+        | _ -> None)
+      (Recorder.events (Network.recorder net))
+  in
+  let count change = List.length (List.filter (( = ) change) changes) in
+  Alcotest.(check bool) "records expired during silence" true (count "expired" > 0);
+  Alcotest.(check bool) "take-any on recontact" true (count "take-any" > 0)
 
 (* ---- AIMD transparency (loss-free differential) ------------------------------ *)
 
