@@ -15,23 +15,23 @@ module Stats = Soda_sim.Stats
 
 let patt = Pattern.well_known 0o222
 
-let print_trace ?(keep = fun _ -> true) net =
+(* The figure's events: Delta-t record lifecycle, duplicate replays,
+   crashes, quarantines and resets, and CRASHED completions. *)
+let interesting = function
+  | Event.Conn_record _ | Event.Dup_replay _ | Event.Fault_crash _ -> true
+  | Event.Node_change { change; _ } ->
+    List.mem change
+      [ "crash-silent"; "quarantine-over"; "crash-torn-down"; "reboot-quarantine-over"; "reset" ]
+  | Event.Complete { status; _ } -> status = "crashed"
+  | _ -> false
+
+let print_trace net =
   List.iter
     (fun e ->
-      let message = Event.message e.Event.kind in
-      if keep message then
+      if interesting e.Event.kind then
         Printf.printf "    %8.1f ms  %-8s %s\n" (float_of_int e.Event.time_us /. 1000.0)
-          e.Event.actor message)
+          e.Event.actor (Event.message e.Event.kind))
     (Recorder.events (Network.recorder net))
-
-let interesting message =
-  let has needle =
-    let n = String.length needle and m = String.length message in
-    let rec scan i = i + n <= m && (String.sub message i n = needle || scan (i + 1)) in
-    n = 0 || scan 0
-  in
-  has "delta-t" || has "taking any" || has "duplicate" || has "quarantine" || has "crash"
-  || has "reset"
 
 (* Scenario 1: first contact creates a connection record; the bit sequence
    is then enforced ("client 2 will insist on correct SN"). *)
@@ -40,13 +40,7 @@ let scenario_first_contact () =
   let net = Network.create ~seed:31 ~trace:true () in
   let k0 = Network.add_node net ~mid:0 in
   let k1 = Network.add_node net ~mid:1 in
-  ignore
-    (Sodal.attach k0
-       {
-         Sodal.default_spec with
-         init = (fun env ~parent:_ -> Sodal.advertise env patt);
-         on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
-       });
+  ignore (Sodal.attach k0 (Workloads.signal_server patt));
   ignore
     (Sodal.attach k1
        {
@@ -59,7 +53,7 @@ let scenario_first_contact () =
              Sodal.serve env);
        });
   ignore (Network.run ~until:2_000_000 net);
-  print_trace ~keep:interesting net
+  print_trace net
 
 (* Scenario 2: a lost ACK forces a retransmission; the receiver detects the
    duplicate SN and replays its response instead of redelivering. *)
@@ -71,15 +65,7 @@ let scenario_duplicate_rejection () =
   let k1 = Network.add_node net ~mid:1 in
   let deliveries = ref 0 in
   ignore
-    (Sodal.attach k0
-       {
-         Sodal.default_spec with
-         init = (fun env ~parent:_ -> Sodal.advertise env patt);
-         on_request =
-           (fun env _ ->
-             incr deliveries;
-             ignore (Sodal.accept_current_signal env ~arg:0));
-       });
+    (Sodal.attach k0 (Workloads.signal_server ~on_deliver:(fun _ -> incr deliveries) patt));
   let completed = ref 0 in
   ignore
     (Sodal.attach k1
@@ -111,13 +97,7 @@ let scenario_record_expiry () =
   let net = Network.create ~seed:13 ~trace:true () in
   let k0 = Network.add_node net ~mid:0 in
   let k1 = Network.add_node net ~mid:1 in
-  ignore
-    (Sodal.attach k0
-       {
-         Sodal.default_spec with
-         init = (fun env ~parent:_ -> Sodal.advertise env patt);
-         on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
-       });
+  ignore (Sodal.attach k0 (Workloads.signal_server patt));
   ignore
     (Sodal.attach k1
        {
@@ -131,7 +111,7 @@ let scenario_record_expiry () =
              Sodal.serve env);
        });
   ignore (Network.run ~until:2_000_000_000 net);
-  print_trace ~keep:interesting net
+  print_trace net
 
 (* Scenario 4: crash, quarantine of 2 MPL + delta-t, rejoin ("OK for client
    1 to send after crash"). *)
@@ -141,13 +121,7 @@ let scenario_crash_quarantine () =
   let net = Network.create ~seed:17 ~trace:true () in
   let k0 = Network.add_node net ~mid:0 in
   let k1 = Network.add_node net ~mid:1 in
-  ignore
-    (Sodal.attach k0
-       {
-         Sodal.default_spec with
-         init = (fun env ~parent:_ -> Sodal.advertise env patt);
-         on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
-       });
+  ignore (Sodal.attach k0 (Workloads.signal_server patt));
   let statuses = ref [] in
   ignore
     (Sodal.attach k1
@@ -186,7 +160,7 @@ let scenario_crash_quarantine () =
        "    before crash: %s; during quarantine: %s (required: CRASHED);\n    after rejoining: %s (machine back, no client yet)\n"
        (name first) (name second) (name third)
    | _ -> ());
-  print_trace ~keep:interesting net
+  print_trace net
 
 let run () =
   scenario_first_contact ();

@@ -28,20 +28,15 @@ let t1_variant ~label ~cost ~op ~paper_ms ~paper_packets =
 
 let t1 () =
   hr "T1. SODA Performance (paper table, §5.5)";
-  let np = Cost.non_pipelined and p = Cost.default in
-  t1_variant ~label:"non-pipelined" ~cost:np ~op:W.Put ~paper_ms:P.put_non_pipelined
-    ~paper_packets:(P.packets_per_op (`Put, `Non_pipelined));
-  t1_variant ~label:"pipelined" ~cost:p ~op:W.Put ~paper_ms:P.put_pipelined
-    ~paper_packets:(P.packets_per_op (`Put, `Pipelined));
-  t1_variant ~label:"non-pipelined" ~cost:np ~op:W.Get ~paper_ms:P.get_non_pipelined
-    ~paper_packets:(P.packets_per_op (`Get, `Non_pipelined));
-  t1_variant ~label:"pipelined" ~cost:p ~op:W.Get ~paper_ms:P.get_pipelined
-    ~paper_packets:(P.packets_per_op (`Get, `Pipelined));
-  t1_variant ~label:"non-pipelined" ~cost:np ~op:W.Exchange
-    ~paper_ms:P.exchange_non_pipelined
-    ~paper_packets:(P.packets_per_op (`Exchange, `Non_pipelined));
-  t1_variant ~label:"pipelined" ~cost:p ~op:W.Exchange ~paper_ms:P.exchange_pipelined
-    ~paper_packets:(P.packets_per_op (`Exchange, `Pipelined))
+  List.iter
+    (fun (op, kind, np_ms, p_ms) ->
+      t1_variant ~label:"non-pipelined" ~cost:Cost.non_pipelined ~op ~paper_ms:np_ms
+        ~paper_packets:(P.packets_per_op (kind, `Non_pipelined));
+      t1_variant ~label:"pipelined" ~cost:Cost.default ~op ~paper_ms:p_ms
+        ~paper_packets:(P.packets_per_op (kind, `Pipelined)))
+    [ (W.Put, `Put, P.put_non_pipelined, P.put_pipelined);
+      (W.Get, `Get, P.get_non_pipelined, P.get_pipelined);
+      (W.Exchange, `Exchange, P.exchange_non_pipelined, P.exchange_pipelined) ]
 
 (* ---- T2: breakdown of communications overhead --------------------------------- *)
 
@@ -121,40 +116,38 @@ let trace_section () =
 (* ---- T3: comparison with *MOD -------------------------------------------------- *)
 
 let measure_starmod () =
-  let engine = Soda_sim.Engine.create ~seed:99 () in
+  let module Engine = Soda_sim.Engine in
+  let module Starmod = Soda_baseline.Starmod in
+  let engine = Engine.create ~seed:99 () in
   let bus = Soda_net.Bus.create engine in
-  let a = Soda_baseline.Starmod.create_node ~engine ~bus ~mid:0 () in
-  let b = Soda_baseline.Starmod.create_node ~engine ~bus ~mid:1 () in
-  Soda_baseline.Starmod.define_port b ~port:1 (fun _ -> Some (Bytes.create 2));
-  Soda_baseline.Starmod.define_port b ~port:2 (fun _ -> None);
-  ignore a;
-  (* synchronous port calls, sequential *)
+  let a = Starmod.create_node ~engine ~bus ~mid:0 () in
+  let b = Starmod.create_node ~engine ~bus ~mid:1 () in
+  Starmod.define_port b ~port:1 (fun _ -> Some (Bytes.create 2));
+  Starmod.define_port b ~port:2 (fun _ -> None);
+  (* ms per call of a sequential chain: [call k] issues one and runs [k]
+     when it is done *)
   let n = 25 and warmup = 5 in
-  let t_warm = ref 0 and t_end = ref 0 in
-  let rec sync_loop i =
-    if i > n then t_end := Soda_sim.Engine.now engine
-    else begin
-      if i = warmup + 1 then t_warm := Soda_sim.Engine.now engine;
-      Soda_baseline.Starmod.sync_call a ~dst:1 ~port:1 (Bytes.create 2)
-        ~on_reply:(fun _ -> sync_loop (i + 1))
-    end
+  let per_call_ms ~until call =
+    let t_warm = ref 0 and t_end = ref 0 in
+    let rec loop i =
+      if i > n then t_end := Engine.now engine
+      else begin
+        if i = warmup + 1 then t_warm := Engine.now engine;
+        call (fun () -> loop (i + 1))
+      end
+    in
+    loop 1;
+    ignore (Engine.run ~until engine);
+    float_of_int (!t_end - !t_warm) /. float_of_int (n - warmup) /. 1000.0
   in
-  sync_loop 1;
-  ignore (Soda_sim.Engine.run ~until:10_000_000_000 engine);
-  let sync_ms = float_of_int (!t_end - !t_warm) /. float_of_int (n - warmup) /. 1000.0 in
-  (* asynchronous sends, sequential completion chain *)
-  let t_warm = ref 0 and t_end = ref 0 in
-  let rec async_loop i =
-    if i > n then t_end := Soda_sim.Engine.now engine
-    else begin
-      if i = warmup + 1 then t_warm := Soda_sim.Engine.now engine;
-      Soda_baseline.Starmod.async_send a ~dst:1 ~port:2 (Bytes.create 2)
-        ~on_done:(fun () -> async_loop (i + 1))
-    end
+  let sync_ms =
+    per_call_ms ~until:10_000_000_000 (fun k ->
+        Starmod.sync_call a ~dst:1 ~port:1 (Bytes.create 2) ~on_reply:(fun _ -> k ()))
   in
-  async_loop 1;
-  ignore (Soda_sim.Engine.run ~until:20_000_000_000 engine);
-  let async_ms = float_of_int (!t_end - !t_warm) /. float_of_int (n - warmup) /. 1000.0 in
+  let async_ms =
+    per_call_ms ~until:20_000_000_000 (fun k ->
+        Starmod.async_send a ~dst:1 ~port:2 (Bytes.create 2) ~on_done:k)
+  in
   (sync_ms, async_ms)
 
 let t3 () =
@@ -240,6 +233,39 @@ let a5 () =
         r.W.per_op_ms)
     [ ("associative (§3.4)", true); ("256-slot overwrite (§5.4)", false) ]
 
+(* One client pushes a [block]-byte block to a sink over Stream.send in
+   [chunk]-byte chunks; returns the virtual ms it took and the goodput in
+   KB/s. A6 and WINDOW both measure this. *)
+let stream_block ?cost ~seed ~block ~chunk () =
+  let module Pattern = Soda_base.Pattern in
+  let module Network = Soda_core.Network in
+  let module Sodal = Soda_runtime.Sodal in
+  let module Stream = Soda_facilities.Stream in
+  let patt = Pattern.well_known 0o644 in
+  let net = Network.create ~seed ?cost () in
+  let k0 = Network.add_node net ~mid:0 in
+  let k1 = Network.add_node net ~mid:1 in
+  ignore (Sodal.attach k0 (Stream.sink ~pattern:patt ~on_block:(fun _ ~src:_ _ -> ()) ()));
+  let elapsed = ref 0 in
+  ignore
+    (Sodal.attach k1
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let t0 = Sodal.now env in
+             (match
+                Stream.send env (Sodal.server ~mid:0 ~pattern:patt) ~chunk_bytes:chunk
+                  (Bytes.create block)
+              with
+              | Ok () -> elapsed := Sodal.now env - t0
+              | Error _ -> failwith "stream failed");
+             Sodal.serve env);
+       });
+  ignore (Network.run ~until:600_000_000 net);
+  let ms = float_of_int !elapsed /. 1000.0 in
+  (ms, float_of_int block /. 1024.0 /. (ms /. 1000.0))
+
 let a6 () =
   hr "A6. Ablation: client-level multipacket streaming (§6.17.4 chunk size)";
   Printf.printf
@@ -247,34 +273,8 @@ let a6 () =
   Printf.printf "    %-12s %10s %14s\n" "chunk bytes" "total ms" "goodput KB/s";
   List.iter
     (fun chunk ->
-      let module Pattern = Soda_base.Pattern in
-      let module Network = Soda_core.Network in
-      let module Sodal = Soda_runtime.Sodal in
-      let module Stream = Soda_facilities.Stream in
-      let patt = Pattern.well_known 0o644 in
-      let net = Network.create ~seed:31 () in
-      let k0 = Network.add_node net ~mid:0 in
-      let k1 = Network.add_node net ~mid:1 in
-      ignore (Sodal.attach k0 (Stream.sink ~pattern:patt ~on_block:(fun _ ~src:_ _ -> ()) ()));
-      let elapsed = ref 0 in
-      ignore
-        (Sodal.attach k1
-           {
-             Sodal.default_spec with
-             task =
-               (fun env ->
-                 let t0 = Sodal.now env in
-                 (match
-                    Stream.send env (Sodal.server ~mid:0 ~pattern:patt) ~chunk_bytes:chunk
-                      (Bytes.create 20_480)
-                  with
-                  | Ok () -> elapsed := Sodal.now env - t0
-                  | Error _ -> failwith "stream failed");
-                 Sodal.serve env);
-           });
-      ignore (Network.run ~until:600_000_000 net);
-      let ms = float_of_int !elapsed /. 1000.0 in
-      Printf.printf "    %-12d %10.1f %14.1f\n" chunk ms (20_480.0 /. 1024.0 /. (ms /. 1000.0)))
+      let ms, goodput = stream_block ~seed:31 ~block:20_480 ~chunk () in
+      Printf.printf "    %-12d %10.1f %14.1f\n" chunk ms goodput)
     [ 256; 512; 1024; 2048; 4096 ]
 
 (* ---- WINDOW: sliding-window sweep + regression gate --------------------------------- *)
@@ -301,41 +301,6 @@ let window_cost w =
   if w = 1 then Cost.default (* the exact seed configuration *)
   else { Cost.default with Cost.window = w; maxrequests = w + 1 }
 
-(* 8 KB over Stream.send in 100-byte chunks: each chunk is a full
-   REQUEST/ACCEPT transaction, so per-transaction latency dominates the
-   line rate and the window has room to pipeline. *)
-let window_stream_goodput ~window =
-  let module Pattern = Soda_base.Pattern in
-  let module Network = Soda_core.Network in
-  let module Sodal = Soda_runtime.Sodal in
-  let module Stream = Soda_facilities.Stream in
-  let patt = Pattern.well_known 0o644 in
-  let block = 8_192 and chunk = 100 in
-  let net = Network.create ~seed:37 ~cost:(window_cost window) () in
-  let k0 = Network.add_node net ~mid:0 in
-  let k1 = Network.add_node net ~mid:1 in
-  ignore
-    (Sodal.attach k0 (Stream.sink ~pattern:patt ~on_block:(fun _ ~src:_ _ -> ()) ()));
-  let elapsed = ref 0 in
-  ignore
-    (Sodal.attach k1
-       {
-         Sodal.default_spec with
-         task =
-           (fun env ->
-             let t0 = Sodal.now env in
-             (match
-                Stream.send env (Sodal.server ~mid:0 ~pattern:patt) ~chunk_bytes:chunk
-                  (Bytes.create block)
-              with
-              | Ok () -> elapsed := Sodal.now env - t0
-              | Error _ -> failwith "window stream failed");
-             Sodal.serve env);
-       });
-  ignore (Network.run ~until:600_000_000 net);
-  let ms = float_of_int !elapsed /. 1000.0 in
-  (ms, float_of_int block /. 1024.0 /. (ms /. 1000.0))
-
 let window_section () =
   hr "WINDOW. Sliding-window sweep (W in {1,2,4,8}): STREAM goodput + SIGNAL stream";
   Printf.printf "    %-8s %12s %14s %14s %12s\n" "window" "stream ms" "goodput KB/s"
@@ -343,7 +308,12 @@ let window_section () =
   let rows =
     List.map
       (fun w ->
-        let stream_ms, goodput = window_stream_goodput ~window:w in
+        (* 8 KB in 100-byte chunks: each chunk is a full REQUEST/ACCEPT
+           transaction, so per-transaction latency dominates the line
+           rate and the window has room to pipeline. *)
+        let stream_ms, goodput =
+          stream_block ~cost:(window_cost w) ~seed:37 ~block:8_192 ~chunk:100 ()
+        in
         let r =
           W.stream ~cost:(window_cost w) ~op:W.Signal ~words:0
             ~outstanding:(max 3 (w + 1)) ()
@@ -356,8 +326,6 @@ let window_section () =
   let find w = List.find (fun (w', _, _, _, _) -> w' = w) rows in
   let _, _, goodput1, signal1, _ = find 1 in
   let _, _, goodput8, _, _ = find 8 in
-  let w1_ok = signal1 <= seed_t2s_ms *. t2s_tolerance in
-  let w8_ok = goodput8 >= 2.0 *. goodput1 in
   Record.write ~section:"WINDOW"
     ~params:[ ("seed_t2s_ms", Record.Num (2, seed_t2s_ms)) ]
     ~rows:
@@ -368,143 +336,98 @@ let window_section () =
                ("stream_goodput_kbs", Num (1, goodput));
                ("signal_ms_per_op", Num (2, ms)); ("packets_per_signal", Num (2, pkts)) ])
          rows)
-    ~gates:[ ("w1_t2s_no_regression", w1_ok); ("w8_stream_2x", w8_ok) ];
-  if not w1_ok then
-    Printf.printf
-      "    GATE FAILED: W=1 SIGNAL %.2f ms/op exceeds seed T2S %.2f ms (+%.0f%% cap)\n"
-      signal1 seed_t2s_ms ((t2s_tolerance -. 1.0) *. 100.0);
-  if not w8_ok then
-    Printf.printf "    GATE FAILED: W=8 goodput %.1f KB/s < 2x W=1 goodput %.1f KB/s\n"
-      goodput8 goodput1;
-  if not (w1_ok && w8_ok) then exit 1;
+    ~gates:
+      [ ( "w1_t2s_no_regression",
+          signal1 <= seed_t2s_ms *. t2s_tolerance,
+          Printf.sprintf "W=1 SIGNAL %.2f ms/op exceeds seed T2S %.2f ms (+%.0f%% cap)"
+            signal1 seed_t2s_ms ((t2s_tolerance -. 1.0) *. 100.0) );
+        ( "w8_stream_2x",
+          goodput8 >= 2.0 *. goodput1,
+          Printf.sprintf "W=8 goodput %.1f KB/s < 2x W=1 goodput %.1f KB/s" goodput8
+            goodput1 ) ];
   Printf.printf "    gates OK: W=1 matches the stop-and-wait seed; W=8 >= 2x stream goodput\n"
 
 (* ---- INCAST: many-to-one convergence, static vs adaptive RTO ------------------------ *)
 
-(* M clients pour pipelined SIGNALs onto one server at once. The bus
-   serialises the burst, so every packet's RTT inflates roughly M-fold
-   past the quiet-wire figure; a sender on the static retransmission
-   schedule reads the queueing delay as loss and storms the medium with
-   spurious retransmissions, which inflate the queue further. The
-   adaptive configuration (AIMD congestion window + Jacobson RTO floor,
-   PR 10) must absorb the queueing instead.
-
-   Both configurations carry the identical offered load (8 pipelined
-   SIGNALs per client); only the transport differs:
-     - static:   W=8, aimd off — PR-5 behaviour, fixed schedule;
-     - adaptive: W=64, aimd on — 8-bit sequence space, cwnd + RTT floor.
-   Gates (CI fails the push if either breaks):
-     - adaptive goodput at 16 clients >= 2x the static figure;
-     - adaptive retransmit ratio at 16 clients <= 15%.
-   The ratio counts timer-expiry retransmissions only
+(* M clients pour pipelined SIGNALs (Workloads.incast, 8 in flight per
+   client) onto one server at once. The bus serialises the burst, so
+   every packet's RTT inflates roughly M-fold past the quiet-wire figure;
+   a sender on the static retransmission schedule reads the queueing
+   delay as loss and storms the medium with spurious retransmissions,
+   which inflate the queue further. Only the transport differs:
+     - static:   W=8, aimd off, fixed schedule;
+     - adaptive: W=64, aimd on, cwnd + Jacobson RTO floor.
+   Goodput counts OK completions only, over the time of the last
+   completion: a CRASHED SIGNAL against the live server is a failed op.
+   The retransmit ratio counts timer expiries only
    ("pkt.retransmissions.timer"): BUSY re-emissions are the handler's
-   flow-control mechanism (unchanged since the seed) and say nothing
-   about congestion, so mixing them in would mask what AIMD and the
-   adaptive RTO actually control. *)
+   flow control and say nothing about congestion.
+   Gates (CI fails the push if either breaks): at 16 clients, adaptive
+   goodput >= 2x static and adaptive retransmit ratio <= 15%. *)
 
 let incast_cost = function
   | `Static -> { Cost.default with Cost.window = 8; maxrequests = 9; aimd = false }
   | `Adaptive -> { Cost.default with Cost.window = 64; maxrequests = 65; aimd = true }
 
 let incast_run ~clients ~ops mode =
-  let module Pattern = Soda_base.Pattern in
-  let module Network = Soda_core.Network in
   let module Kernel = Soda_core.Kernel in
-  let module Sodal = Soda_runtime.Sodal in
   let module Stats = Soda_sim.Stats in
-  let patt = Pattern.well_known 0o655 in
-  let net = Network.create ~seed:73 ~cost:(incast_cost mode) () in
-  let server = Network.add_node net ~mid:0 in
-  ignore
-    (Sodal.attach server
-       {
-         Sodal.default_spec with
-         init = (fun env ~parent:_ -> Sodal.advertise env patt);
-         on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
-       });
+  let r = W.incast ~cost:(incast_cost mode) ~clients ~ops () in
   let total = clients * ops in
-  let done_count = ref 0 and finished_at = ref 0 in
-  let kernels = ref [ server ] in
-  for c = 1 to clients do
-    let k = Network.add_node net ~mid:c in
-    kernels := k :: !kernels;
-    ignore
-      (Sodal.attach k
-         {
-           Sodal.default_spec with
-           task =
-             (fun env ->
-               let sv = Sodal.server ~mid:0 ~pattern:patt in
-               let pending = ref 0 in
-               for _ = 1 to ops do
-                 while !pending >= 8 do
-                   Sodal.idle env
-                 done;
-                 let tid = Sodal.signal env sv ~arg:0 in
-                 incr pending;
-                 Sodal.on_completion_of env tid (fun _ ->
-                     decr pending;
-                     incr done_count;
-                     if !done_count = total then finished_at := Sodal.now env)
-               done;
-               while !pending > 0 do
-                 Sodal.idle env
-               done;
-               Sodal.serve env);
-         })
-  done;
-  ignore (Network.run ~until:600_000_000 net);
-  if !done_count < total then failwith "incast run did not complete";
-  let sum key =
-    List.fold_left (fun n k -> n + Stats.counter (Kernel.stats k) key) 0 !kernels
+  if Hashtbl.length r.W.statuses < total then failwith "incast run did not complete";
+  let ok =
+    Hashtbl.fold (fun _ st n -> if st = Soda_runtime.Sodal.Comp_ok then n + 1 else n)
+      r.W.statuses 0
   in
-  let elapsed_s = float_of_int !finished_at /. 1e6 in
-  let goodput = float_of_int total /. elapsed_s in
+  let sum key =
+    List.fold_left (fun n k -> n + Stats.counter (Kernel.stats k) key) 0 r.W.kernels
+  in
+  let goodput = float_of_int ok /. (float_of_int r.W.finished_us /. 1e6) in
   let retrans_ratio =
     float_of_int (sum "pkt.retransmissions.timer")
     /. float_of_int (max 1 (sum "pkt.sent.total"))
   in
-  (goodput, retrans_ratio)
+  (ok, goodput, retrans_ratio)
 
 let incast_section () =
   hr "INCAST. Many-to-one SIGNAL burst: static (W=8) vs adaptive (W=64 + AIMD)";
-  Printf.printf "    %-8s %18s %18s %14s %14s\n" "clients" "static ops/s"
-    "adaptive ops/s" "static rtx" "adaptive rtx";
   let ops = 32 in
+  Printf.printf "    %-8s %10s %14s %12s %14s %12s %12s\n" "clients" "static OK"
+    "static OK/s" "adaptive OK" "adaptive OK/s" "static rtx" "adaptive rtx";
   let rows =
     List.map
       (fun clients ->
-        let sg, sr = incast_run ~clients ~ops `Static in
-        let ag, ar = incast_run ~clients ~ops `Adaptive in
-        Printf.printf "    %-8d %18.1f %18.1f %13.1f%% %13.1f%%\n" clients sg ag
-          (100.0 *. sr) (100.0 *. ar);
-        (clients, sg, sr, ag, ar))
+        let sok, sg, sr = incast_run ~clients ~ops `Static in
+        let aok, ag, ar = incast_run ~clients ~ops `Adaptive in
+        let of_total ok = Printf.sprintf "%d/%d" ok (clients * ops) in
+        Printf.printf "    %-8d %10s %14.1f %12s %14.1f %11.1f%% %11.1f%%\n" clients
+          (of_total sok) sg (of_total aok) ag (100.0 *. sr) (100.0 *. ar);
+        (clients, sok, sg, sr, aok, ag, ar))
       [ 8; 16; 64 ]
   in
-  let _, static16, _, adaptive16, adaptive16_rtx =
-    List.find (fun (c, _, _, _, _) -> c = 16) rows
+  let _, _, static16, _, _, adaptive16, adaptive16_rtx =
+    List.find (fun (c, _, _, _, _, _, _) -> c = 16) rows
   in
-  let goodput_ok = adaptive16 >= 2.0 *. static16 in
-  let rtx_ok = adaptive16_rtx <= 0.15 in
   Record.write ~section:"INCAST"
     ~params:[ ("ops_per_client", Record.Int ops) ]
     ~rows:
       (List.map
-         (fun (clients, sg, sr, ag, ar) ->
+         (fun (clients, sok, sg, sr, aok, ag, ar) ->
            Record.
-             [ ("clients", Int clients); ("static_goodput_ops", Num (1, sg));
-               ("static_retrans_ratio", Num (4, sr)); ("adaptive_goodput_ops", Num (1, ag));
+             [ ("clients", Int clients); ("static_ok", Int sok);
+               ("static_goodput_ops", Num (1, sg)); ("static_retrans_ratio", Num (4, sr));
+               ("adaptive_ok", Int aok); ("adaptive_goodput_ops", Num (1, ag));
                ("adaptive_retrans_ratio", Num (4, ar)) ])
          rows)
-    ~gates:[ ("adaptive16_goodput_2x", goodput_ok); ("adaptive16_retrans_le_15pct", rtx_ok) ];
-  if not goodput_ok then
-    Printf.printf
-      "    GATE FAILED: adaptive 16-client goodput %.1f ops/s < 2x static %.1f ops/s\n"
-      adaptive16 static16;
-  if not rtx_ok then
-    Printf.printf "    GATE FAILED: adaptive 16-client retransmit ratio %.1f%% > 15%%\n"
-      (100.0 *. adaptive16_rtx);
-  if not (goodput_ok && rtx_ok) then exit 1;
+    ~gates:
+      [ ( "adaptive16_goodput_2x",
+          adaptive16 >= 2.0 *. static16,
+          Printf.sprintf "adaptive 16-client goodput %.1f OK/s < 2x static %.1f OK/s"
+            adaptive16 static16 );
+        ( "adaptive16_retrans_le_15pct",
+          adaptive16_rtx <= 0.15,
+          Printf.sprintf "adaptive 16-client retransmit ratio %.1f%% > 15%%"
+            (100.0 *. adaptive16_rtx) ) ];
   Printf.printf
     "    gates OK: adaptive >= 2x static goodput at 16 clients; retransmit ratio <= 15%%\n"
 
@@ -610,11 +533,10 @@ let store_section () =
         [ ("clients", Int clients); ("ops_per_client", Int ops); ("keys", Int keys);
           ("seed", Int seed); ("think_us", Int think_us) ]
     ~rows:(List.rev !rows)
-    ~gates:[ ("minority_p99_le_2x_healthy", !failures = []) ];
-  if !failures <> [] then begin
-    List.iter (Printf.printf "    GATE FAILED: %s\n") (List.rev !failures);
-    exit 1
-  end;
+    ~gates:
+      [ ( "minority_p99_le_2x_healthy",
+          !failures = [],
+          String.concat "; " (List.rev !failures) ) ];
   Printf.printf
     "    gates OK: read and write p99 <= 2x healthy with a replica down or crashed mid-run, \
      n=3 and n=5\n"
@@ -703,19 +625,16 @@ let scd_section () =
       [ (8, 3, 8, 120_000); (64, 2, 5, 2_000_000) ]
   in
   let fpb64 = List.assoc 64 (List.map fst rows) in
-  let gate_ok = fpb64 <= tolerance *. float_of_int (bound 64) in
   Record.write ~section:"SCD"
     ~params:
       Record.
         [ ("analytic_frames_per_broadcast", Str "n*(n-1)"); ("tolerance", Num (2, tolerance)) ]
     ~rows:(List.map snd rows)
-    ~gates:[ ("n64_quadratic_cost", gate_ok) ];
-  if not gate_ok then begin
-    Printf.printf
-      "    GATE FAILED: n=64 frames/broadcast %.1f exceeds %.1fx analytic bound %d\n"
-      fpb64 tolerance (bound 64);
-    exit 1
-  end;
+    ~gates:
+      [ ( "n64_quadratic_cost",
+          fpb64 <= tolerance *. float_of_int (bound 64),
+          Printf.sprintf "n=64 frames/broadcast %.1f exceeds %.1fx analytic bound %d" fpb64
+            tolerance (bound 64) ) ];
   Printf.printf "    gate OK: n=64 frames/broadcast %.1f within %.1fx of n(n-1)=%d\n"
     fpb64 tolerance (bound 64)
 
@@ -818,32 +737,22 @@ let scale_section () =
         (Pool.acquires pool))
     rows;
   let ev_s = List.map fst records in
-  let ok_measured = List.for_all (fun (_, v) -> v > 0.0) ev_s in
   let ratio_gate =
     match List.assoc_opt 8 ev_s, List.assoc_opt 64 ev_s with
-    | Some v8, Some v64 -> Some (v8, v64)
-    | _ -> None
+    | Some v8, Some v64 ->
+      Printf.printf "    gate: N=64 at %.0f%% of N=8 throughput (floor 65%%)\n"
+        (100.0 *. v64 /. v8);
+      [ ( "n64_ge_65pct_n8",
+          v64 >= 0.65 *. v8,
+          Printf.sprintf "N=64 events/sec %.0f < 65%% of N=8 %.0f" v64 v8 ) ]
+    | _ -> []
   in
   Record.write ~section:"SCALE" ~params:[] ~rows:(List.map snd records)
     ~gates:
-      (("ok_measured", ok_measured)
-      ::
-      (match ratio_gate with
-       | Some (v8, v64) -> [ ("n64_ge_65pct_n8", v64 >= 0.65 *. v8) ]
-       | None -> []));
-  if not ok_measured then begin
-    Printf.printf "    GATE FAILED: events/sec not measured (wall clock did not advance)\n";
-    exit 1
-  end;
-  match ratio_gate with
-  | Some (v8, v64) ->
-    Printf.printf "    gate: N=64 at %.0f%% of N=8 throughput (floor 65%%)\n"
-      (100.0 *. v64 /. v8);
-    if v64 < 0.65 *. v8 then begin
-      Printf.printf "    GATE FAILED: N=64 events/sec %.0f < 65%% of N=8 %.0f\n" v64 v8;
-      exit 1
-    end
-  | None -> ()
+      (( "ok_measured",
+         List.for_all (fun (_, v) -> v > 0.0) ev_s,
+         "events/sec not measured (wall clock did not advance)" )
+      :: ratio_gate)
 
 (* ---- FAULT: a workload under a scripted fault plan ---------------------------------- *)
 

@@ -35,6 +35,8 @@ let rec json = function
     let field (k, v) = Printf.sprintf "%S: %s" k (json v) in
     "{ " ^ String.concat ", " (List.map field fields) ^ " }"
 
+(* Write the record, then print "GATE FAILED: <message>" for each gate
+   [(name, ok, message)] that failed and exit 1 if any did. *)
 let write ~section ~params ~rows ~gates =
   let file = bench_out (section ^ ".json") in
   let oc = open_out file in
@@ -42,6 +44,9 @@ let write ~section ~params ~rows ~gates =
     section (json (Obj params))
     (String.concat ",\n" (List.map (fun row -> "    " ^ json (Obj row)) rows));
   Printf.fprintf oc "  \"gates\": %s\n}\n"
-    (json (Obj (List.map (fun (name, ok) -> (name, Bool ok)) gates)));
+    (json (Obj (List.map (fun (name, ok, _) -> (name, Bool ok)) gates)));
   close_out oc;
-  Printf.printf "\n    wrote %s\n" file
+  Printf.printf "\n    wrote %s\n" file;
+  let failed = List.filter (fun (_, ok, _) -> not ok) gates in
+  List.iter (fun (_, _, message) -> Printf.printf "    GATE FAILED: %s\n" message) failed;
+  if failed <> [] then exit 1

@@ -69,6 +69,18 @@ let server_spec ~mode ~words =
           done);
     }
 
+(* A server that advertises [pattern] and ACCEPTs each SIGNAL in its
+   handler, after passing the request to [on_deliver]. *)
+let signal_server ?(on_deliver = ignore) pattern =
+  {
+    Sodal.default_spec with
+    init = (fun env ~parent:_ -> Sodal.advertise env pattern);
+    on_request =
+      (fun env info ->
+        on_deliver info;
+        ignore (Sodal.accept_current_signal env ~arg:0));
+  }
+
 (* Run [n] transactions of [op] with [outstanding] requests in flight;
    measure the steady state between the [warmup]-th and last completion. *)
 let stream ?(cost = Cost.default) ?(loss = 0.0) ?(seed = 271) ~op ~words
@@ -211,3 +223,69 @@ let blocking_signal ?(cost = Cost.default) ?(seed = 277) ?(mode = In_handler) ?(
   ignore (Network.run ~until:1_200_000_000 net);
   if !done_ < n then failwith "blocking workload did not finish";
   float_of_int (!t_end - !t_warm) /. float_of_int (n - warmup) /. 1000.0
+
+(* Many-to-one SIGNAL burst (INCAST; the paper's requester->server stream
+   with [clients] requesters at once): [clients] nodes, mids 1..clients,
+   each push [ops] SIGNALs at the server on mid 0, keeping up to
+   [incast_depth] in flight. The server ACCEPTs each in its handler. Op
+   [op] of client [c] signals with arg [op], so the server's delivery log
+   names it as [(c, op)]. [plan] runs against the network from time 0. *)
+type incast = {
+  net : Network.t;
+  kernels : Kernel.t list;  (** the server, then clients 1..clients *)
+  statuses : (int * int, Sodal.comp_status) Hashtbl.t;
+      (** completion status of each finished op, keyed by (client, op) *)
+  delivered : (int * int) list;  (** the server's deliveries (client, op), in order *)
+  finished_us : int;  (** virtual time of the last completion *)
+}
+
+let incast_patt = Pattern.well_known 0o655
+let incast_depth = 8
+
+let incast ?(seed = 73) ?(trace = false) ?(plan = []) ~cost ~clients ~ops () =
+  let net = Network.create ~seed ~cost ~trace () in
+  let server = Network.add_node net ~mid:0 in
+  let delivered = ref [] in
+  let on_deliver info =
+    delivered := (info.Sodal.asker.Types.rq_mid, info.Sodal.arg) :: !delivered
+  in
+  ignore (Sodal.attach server (signal_server ~on_deliver incast_patt));
+  let statuses = Hashtbl.create (clients * ops) and finished_us = ref 0 in
+  let client c =
+    let kernel = Network.add_node net ~mid:c in
+    ignore
+      (Sodal.attach kernel
+         {
+           Sodal.default_spec with
+           task =
+             (fun env ->
+               let sv = Sodal.server ~mid:0 ~pattern:incast_patt in
+               let in_flight = ref 0 in
+               for op = 0 to ops - 1 do
+                 while !in_flight >= incast_depth do
+                   Sodal.idle env
+                 done;
+                 let tid = Sodal.signal env sv ~arg:op in
+                 incr in_flight;
+                 Sodal.on_completion_of env tid (fun comp ->
+                     decr in_flight;
+                     Hashtbl.replace statuses (c, op) comp.Sodal.status;
+                     finished_us := Sodal.now env)
+               done;
+               while !in_flight > 0 do
+                 Sodal.idle env
+               done;
+               Sodal.serve env);
+         });
+    kernel
+  in
+  let clients = List.init clients (fun i -> client (i + 1)) in
+  Soda_fault.Injector.install net plan;
+  ignore (Network.run ~until:600_000_000 net);
+  {
+    net;
+    kernels = server :: clients;
+    statuses;
+    delivered = List.rev !delivered;
+    finished_us = !finished_us;
+  }

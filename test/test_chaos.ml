@@ -491,68 +491,41 @@ let test_window_duplicate_storm () =
 
 (* ---- incast: many clients fan in on one server (PR 10) ----------------------- *)
 
-(* [clients] windowed senders each push [ops] signals at one server.
-   Returns (statuses keyed by (client, op), virtual finish time). The
-   congestion regime the AIMD layer exists for: aggregate in-flight
-   demand far exceeds what the shared medium absorbs, so queueing delay
-   inflates roughly [clients]-fold and a static retransmission schedule
-   fires spuriously on packets that are merely queued. Each client keeps
-   up to [depth] (default [window]) signals in flight. *)
-let run_incast ?trace ?depth ~seed ~clients ~ops ~window plan =
-  let depth = Option.value depth ~default:window in
+(* [clients] windowed senders each push [ops] signals at one server
+   (Workloads.incast, the bench's INCAST scenario). The congestion regime
+   the AIMD layer exists for: aggregate in-flight demand far exceeds what
+   the shared medium absorbs, so queueing delay inflates roughly
+   [clients]-fold and a static retransmission schedule fires spuriously
+   on packets that are merely queued. Each client keeps up to
+   [Workloads.incast_depth] signals in flight. *)
+let run_incast ?trace ~seed ~clients ~ops ~window plan =
   let cost = { Cost.default with Cost.window; maxrequests = window + 1 } in
-  let net, kernels = make_net ?trace ~seed ~cost (clients + 1) in
-  ignore
-    (Sodal.attach (List.nth kernels 0)
-       {
-         Sodal.default_spec with
-         Sodal.init = (fun env ~parent:_ -> Sodal.advertise env patt);
-         on_request =
-           (fun env info ->
-             ignore info.Sodal.arg;
-             ignore (Sodal.accept_current_signal env ~arg:0));
-       });
-  let statuses = Hashtbl.create 256 in
-  let done_count = ref 0 and finished_at = ref 0 in
-  List.iteri
-    (fun idx kernel ->
-      if idx > 0 then
-        ignore
-          (Sodal.attach kernel
-             {
-               Sodal.default_spec with
-               task =
-                 (fun env ->
-                   let sv = Sodal.server ~mid:0 ~pattern:patt in
-                   let in_flight = ref 0 in
-                   for i = 1 to ops do
-                     while !in_flight >= depth do
-                       Sodal.idle env
-                     done;
-                     let tid = Sodal.signal env sv ~arg:i in
-                     incr in_flight;
-                     Sodal.on_completion_of env tid (fun c ->
-                         decr in_flight;
-                         Hashtbl.replace statuses (idx, i) c.Sodal.status;
-                         incr done_count;
-                         if !done_count = clients * ops then
-                           finished_at := Sodal.now env)
-                   done;
-                   while !in_flight > 0 do
-                     Sodal.idle env
-                   done);
-             }))
-    kernels;
-  Injector.install net plan;
-  ignore (Network.run ~until:600_000_000 net);
-  (statuses, !finished_at, net)
+  Workloads.incast ?trace ~seed ~plan ~cost ~clients ~ops ()
+
+(* Exactly-once on the server's delivery log: no (client, op) delivered
+   twice, and every op that completed OK was delivered. A CRASHED op may
+   or may not have been delivered (at-most-once), so it is not checked. *)
+let check_incast_exactly_once label (r : Workloads.incast) =
+  let seen = Hashtbl.create 256 in
+  List.iter
+    (fun (c, op) ->
+      if Hashtbl.mem seen (c, op) then
+        Alcotest.failf "%s: client %d op %d delivered twice" label c op;
+      Hashtbl.replace seen (c, op) ())
+    r.delivered;
+  Hashtbl.iter
+    (fun (c, op) st ->
+      if st = Sodal.Comp_ok && not (Hashtbl.mem seen (c, op)) then
+        Alcotest.failf "%s: client %d op %d completed OK but was never delivered" label c op)
+    r.statuses
 
 (* 16 clients -> 1 server through a mid-transfer loss burst: the batch
    must converge with every op COMPLETED (no false CRASHED verdict — a
-   queued-but-alive server is not a crashed one) and a finish time within
-   2x of the loss-free run of the same workload. Without the adaptive
-   RTO + AIMD machinery this collapses: the static schedule undershoots
-   the 16-deep queueing delay and the retransmit storm feeds itself. *)
+   queued-but-alive server is not a crashed one), each delivered exactly
+   once, and a finish time within 2x of the loss-free run of the same
+   workload. Without the adaptive RTO + AIMD machinery this collapses:
+   the static schedule undershoots the 16-deep queueing delay and the
+   retransmit storm feeds itself. *)
 let test_incast_converges_under_loss_burst () =
   let clients = 16 and ops = 8 and window = 8 in
   let plan =
@@ -561,35 +534,35 @@ let test_incast_converges_under_loss_burst () =
         action = Fault_plan.Loss_burst { rate = 0.3; duration_us = 100_000 } };
     ]
   in
-  let all_ok statuses =
-    Hashtbl.fold (fun _ st ok -> ok && st = Sodal.Comp_ok) statuses true
+  let all_ok (r : Workloads.incast) =
+    Hashtbl.fold (fun _ st ok -> ok && st = Sodal.Comp_ok) r.statuses true
   in
-  let statuses_clean, t_clean, _ = run_incast ~seed:64 ~clients ~ops ~window [] in
-  let statuses_lossy, t_lossy, _ = run_incast ~seed:64 ~clients ~ops ~window plan in
+  let clean = run_incast ~seed:64 ~clients ~ops ~window [] in
+  let lossy = run_incast ~seed:64 ~clients ~ops ~window plan in
   Alcotest.(check int) "all ops completed (loss-free)" (clients * ops)
-    (Hashtbl.length statuses_clean);
+    (Hashtbl.length clean.statuses);
   Alcotest.(check int) "all ops completed (loss burst)" (clients * ops)
-    (Hashtbl.length statuses_lossy);
-  Alcotest.(check bool) "zero false CRASHED verdicts (loss-free)" true
-    (all_ok statuses_clean);
-  Alcotest.(check bool) "zero false CRASHED verdicts (loss burst)" true
-    (all_ok statuses_lossy);
+    (Hashtbl.length lossy.statuses);
+  Alcotest.(check bool) "zero false CRASHED verdicts (loss-free)" true (all_ok clean);
+  Alcotest.(check bool) "zero false CRASHED verdicts (loss burst)" true (all_ok lossy);
+  check_incast_exactly_once "loss-free" clean;
+  check_incast_exactly_once "loss burst" lossy;
   Alcotest.(check bool)
-    (Printf.sprintf "lossy run within 2x of loss-free (%d us <= 2 * %d us)" t_lossy
-       t_clean)
+    (Printf.sprintf "lossy run within 2x of loss-free (%d us <= 2 * %d us)"
+       lossy.finished_us clean.finished_us)
     true
-    (t_lossy <= 2 * t_clean)
+    (lossy.finished_us <= 2 * clean.finished_us)
 
 (* INCAST's 64-client adaptive row (W=64 + AIMD, 8 signals in flight per
    client, 32 per client), traced. Whatever share of its ops end CRASHED
    against the live server, each such completion must name the code path
    that decided it: exactly one Crash_verdict for the same tid on the
-   same node. *)
+   same node. The ops that completed OK were each delivered exactly
+   once. *)
 let test_incast_crash_verdicts_named () =
-  let statuses, _, net =
-    run_incast ~trace:true ~depth:8 ~seed:73 ~clients:64 ~ops:32 ~window:64 []
-  in
-  let events = Recorder.events (Network.recorder net) in
+  let r = run_incast ~trace:true ~seed:73 ~clients:64 ~ops:32 ~window:64 [] in
+  check_incast_exactly_once "64 clients" r;
+  let events = Recorder.events (Network.recorder r.net) in
   let verdicts = Hashtbl.create 256 and crashed = ref [] in
   List.iter
     (fun e ->
@@ -603,7 +576,7 @@ let test_incast_crash_verdicts_named () =
       | _ -> ())
     events;
   let client_crashed =
-    Hashtbl.fold (fun _ st n -> if st = Sodal.Comp_crashed then n + 1 else n) statuses 0
+    Hashtbl.fold (fun _ st n -> if st = Sodal.Comp_crashed then n + 1 else n) r.statuses 0
   in
   Alcotest.(check int) "every CRASHED op has its completion event" client_crashed
     (List.length !crashed);

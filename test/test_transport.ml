@@ -344,43 +344,9 @@ let test_deltat_record_expiry () =
    value instead of opening the full window at once). *)
 let run_aimd_differential ~aimd =
   let cost = { Cost.default with Cost.window = 8; maxrequests = 9; aimd } in
-  let net, kernels = make_net ~seed:44 ~cost 2 in
-  let seen = ref [] in
-  ignore
-    (Sodal.attach (List.nth kernels 0)
-       {
-         Sodal.default_spec with
-         init = (fun env ~parent:_ -> Sodal.advertise env patt);
-         on_request =
-           (fun env info ->
-             seen := info.Sodal.arg :: !seen;
-             ignore (Sodal.accept_current_signal env ~arg:0));
-       });
-  let ok = Array.make 20 false in
-  let pending = ref 0 in
-  ignore
-    (Sodal.attach (List.nth kernels 1)
-       {
-         Sodal.default_spec with
-         task =
-           (fun env ->
-             let sv = Sodal.server ~mid:0 ~pattern:patt in
-             for i = 0 to 19 do
-               while !pending >= 8 do
-                 Sodal.idle env
-               done;
-               let tid = Sodal.signal env sv ~arg:i in
-               incr pending;
-               Sodal.on_completion_of env tid (fun c ->
-                   decr pending;
-                   ok.(i) <- c.Sodal.status = Sodal.Comp_ok)
-             done;
-             while !pending > 0 do
-               Sodal.idle env
-             done);
-       });
-  run ~horizon:60.0 net;
-  (List.rev !seen, Array.to_list ok)
+  let r = Workloads.incast ~seed:44 ~cost ~clients:1 ~ops:20 () in
+  ( List.map snd r.Workloads.delivered,
+    List.init 20 (fun op -> Hashtbl.find_opt r.Workloads.statuses (1, op) = Some Sodal.Comp_ok) )
 
 let test_aimd_transparent_loss_free () =
   let seen_on, ok_on = run_aimd_differential ~aimd:true in
